@@ -1,6 +1,7 @@
 """Memory-bounded streaming attention-memory engine.
 
-Three cooperating feature stores (sensory, working, long-term), an
+Three cooperating feature stores (sensory, plus working and long-term memory
+sharing one column buffer per object track), an
 anisotropic squared-distance readout with top-k filtered softmax affinity,
 usage-driven consolidation of working memory into long-term prototypes, and
 LFU eviction under a hard element cap.
@@ -26,12 +27,12 @@ from .core_types import (
 )
 from .long_term_memory import (
     ConsolidationReport,
-    LongTermMemory,
     potentiate,
     select_kmeans,
     select_prototypes,
     select_random,
 )
+from .memory import Segment, TrackMemory
 from .pipeline import (
     FrameEvents,
     FrameOutput,
@@ -42,6 +43,5 @@ from .pipeline import (
     soft_aggregate,
 )
 from .sensory import GruWeights, SensoryState, deep_update, gru_step, load_gru_weights, save_gru_weights
-from .working_memory import CandidateBundle, FrameRecord, WorkingMemory
 
 __version__ = "0.1.0"

@@ -1,8 +1,8 @@
 """Shared value types and range mappings used by every memory store.
 
 All feature data is stored column-major by memory element: one column per
-element, so appending a frame to a store is a contiguous block append and
-cross-store collection is a plain horizontal concatenation. Engine arithmetic
+element, so appending a frame to a store is a contiguous block write and a
+read of a track's whole memory is a view of its column buffer. Engine arithmetic
 is single precision throughout; the double-precision path lives in
 :mod:`xmem.oracle`.
 

@@ -1,10 +1,11 @@
-"""Compact prototype store with usage-driven consolidation and LFU eviction.
+"""Prototype selection and potentiation for long-term consolidation.
 
 Consolidation selects the most-used candidate columns as prototype keys and
 enriches their values (and shrinkage) as affinity-weighted averages over all
 candidates, so each stored prototype summarizes its neighborhood in key space
-instead of aliasing a single column. The store never exceeds l_max elements;
-overflow evicts the least-used entries first.
+instead of aliasing a single column. The store that holds the prototypes, and
+evicts its least-used entries to stay within l_max, is
+:class:`xmem.memory.TrackMemory`.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import numpy as np
 
 from .affinity import affinity, similarity
 from .core_types import (
-    ConfigError,
     KeyBlock,
     QueryBlock,
     SelectionBlock,
@@ -81,9 +81,11 @@ def select_kmeans(
         return []
     count = min(p, n)
     pts = candidate_keys.data.T.astype(np.float64)  # n x c_k
+    sq = (pts * pts).sum(axis=1)
     centroids = pts[rng.choice(n, size=count, replace=False)].copy()
     for _ in range(10):
-        d2 = ((pts[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        # |x|^2 - 2 x.c + |c|^2: n x count, no n x count x c_k temporary
+        d2 = sq[:, None] - 2.0 * (pts @ centroids.T) + (centroids * centroids).sum(axis=1)
         assign = d2.argmin(axis=1)
         for c in range(count):
             members = pts[assign == c]
@@ -91,9 +93,10 @@ def select_kmeans(
                 centroids[c] = members.mean(axis=0)
     taken: set[int] = set()
     picked = []
-    d2 = ((pts[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
     for c in range(count):
-        order = np.argsort(d2[:, c], kind="stable")
+        # exact differences here: a two-member centroid is equidistant from
+        # both members, and that tie must resolve to the lower index
+        order = np.argsort(((pts - centroids[c]) ** 2).sum(axis=1), kind="stable")
         nearest = next(int(i) for i in order if int(i) not in taken)
         taken.add(nearest)
         picked.append(nearest)
@@ -145,72 +148,3 @@ def potentiate(
         ShrinkageVector(proto_shrinkage),
         ValueBlock(proto_values),
     )
-
-
-class LongTermMemory:
-    """Flat prototype columns with per-element usage, capped at l_max."""
-
-    def __init__(self, c_k: int, c_v: int, l_max: int):
-        if l_max < 0:
-            raise ConfigError(f"l_max must be >= 0, got {l_max}")
-        self.c_k = c_k
-        self.c_v = c_v
-        self.l_max = l_max
-        self.keys = np.zeros((c_k, 0), dtype=np.float32)
-        self.shrinkage = np.zeros(0, dtype=np.float32)
-        self.values = np.zeros((c_v, 0), dtype=np.float32)
-        self.usage = np.zeros(0, dtype=np.float64)
-
-    @property
-    def element_count(self) -> int:
-        return self.keys.shape[1]
-
-    def commit(
-        self,
-        proto_keys: KeyBlock,
-        proto_shrinkage: ShrinkageVector,
-        proto_values: ValueBlock,
-        initial_usage: np.ndarray | None = None,
-    ) -> int:
-        """Append prototypes, evicting the least-used elements first if the
-        cap would be exceeded. Returns the eviction count.
-
-        New elements start at zero usage unless initial_usage is given; their
-        standing is earned through subsequent reads.
-        """
-        new_count = proto_keys.n
-        if proto_shrinkage.n != new_count or proto_values.n != new_count:
-            raise ShapeError("prototype key/shrinkage/value counts differ")
-        if new_count > self.l_max:
-            raise ConfigError(
-                f"committing {new_count} prototypes exceeds l_max={self.l_max}"
-            )
-        evict_count = max(0, self.element_count + new_count - self.l_max)
-        if evict_count:
-            order = np.argsort(self.usage, kind="stable")  # ties: lower index first
-            keep = np.ones(self.element_count, dtype=bool)
-            keep[order[:evict_count]] = False
-            self.keys = self.keys[:, keep]
-            self.shrinkage = self.shrinkage[keep]
-            self.values = self.values[:, keep]
-            self.usage = self.usage[keep]
-        if initial_usage is None:
-            initial_usage = np.zeros(new_count, dtype=np.float64)
-        elif np.asarray(initial_usage).shape != (new_count,):
-            raise ShapeError("initial_usage length does not match prototype count")
-        self.keys = np.concatenate([self.keys, proto_keys.data], axis=1)
-        self.shrinkage = np.concatenate([self.shrinkage, proto_shrinkage.data])
-        self.values = np.concatenate([self.values, proto_values.data], axis=1)
-        self.usage = np.concatenate(
-            [self.usage, np.asarray(initial_usage, dtype=np.float64)]
-        )
-        return evict_count
-
-    def accumulate_usage(self, mass: np.ndarray) -> None:
-        """Add one read's long-term-segment affinity mass, elementwise."""
-        mass = np.asarray(mass)
-        if mass.shape != (self.element_count,):
-            raise ShapeError(
-                f"usage mass has shape {mass.shape}, want ({self.element_count},)"
-            )
-        self.usage += mass

@@ -1,0 +1,230 @@
+"""One column store per object track: long-term prototypes, then working frames.
+
+A track reads a single memory, so it keeps a single buffer: channel-major
+float32 keys (c_k, cap) and values (c_v, cap), float32 shrinkage (cap,) and
+float64 usage (cap,). Columns [0, lt) hold the long-term prototypes and
+columns [lt, n) the working-memory frames in insertion order, the immortal
+reference frame first. The capacity is the hard bound t_max*h*w + l_max, so
+the buffer is allocated once; only the unbounded comparison mode, which never
+consolidates, grows it by doubling. Reads take views of [0, n) and
+consolidation rewrites the columns in place.
+
+Single-writer: exactly one pipeline owns and mutates an instance.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from .core_types import (
+    CapacityError,
+    ConfigError,
+    ContractError,
+    FeatureDims,
+    KeyBlock,
+    ShapeError,
+    ShrinkageVector,
+    ValueBlock,
+)
+from .long_term_memory import ConsolidationReport
+
+
+@dataclass(frozen=True)
+class Segment:
+    """One column range of a store: its long-term or its working memory."""
+
+    columns: slice
+    frame_count: int  # long-term memory holds prototypes, not frames: 0
+
+    @property
+    def element_count(self) -> int:
+        return self.columns.stop - self.columns.start
+
+
+class TrackMemory:
+    """Working and long-term memory of one object track in one buffer.
+
+    Working memory is bounded by t_max frames and shrinks to t_min on
+    consolidation; long-term memory never exceeds l_max columns, evicting the
+    least-used first. unbounded=True lifts the frame cap (consolidation is
+    then never called) and lets the buffer grow.
+    """
+
+    def __init__(
+        self, dims: FeatureDims, t_min: int, t_max: int, l_max: int, unbounded: bool = False
+    ):
+        if t_min < 2:
+            raise ConfigError(f"t_min must be >= 2, got {t_min}")
+        if t_max <= t_min:
+            raise ConfigError(f"t_max ({t_max}) must exceed t_min ({t_min})")
+        if l_max < 0:
+            raise ConfigError(f"l_max must be >= 0, got {l_max}")
+        self.dims = dims
+        self.hw = dims.hw()
+        self.t_min = t_min
+        self.t_max = t_max
+        self.l_max = l_max
+        self.unbounded = unbounded
+        cap = t_max * self.hw + l_max
+        self.keys = np.zeros((dims.c_k, cap), dtype=np.float32)
+        self.values = np.zeros((dims.c_v, cap), dtype=np.float32)
+        self.shrinkage = np.zeros(cap, dtype=np.float32)
+        self.usage = np.zeros(cap, dtype=np.float64)
+        self.inserted_at: list[int] = []
+        self.lt = 0
+        self.n = 0
+
+    @property
+    def capacity(self) -> int:
+        return self.usage.shape[0]
+
+    @property
+    def frame_count(self) -> int:
+        return len(self.inserted_at)
+
+    @property
+    def long_term(self) -> Segment:
+        return Segment(slice(0, self.lt), 0)
+
+    @property
+    def working(self) -> Segment:
+        return Segment(slice(self.lt, self.n), self.frame_count)
+
+    def blocks(self, columns: slice) -> tuple[KeyBlock, ShrinkageVector, ValueBlock]:
+        """Read-only views of the given columns; nothing is copied."""
+        return (
+            KeyBlock(self.keys[:, columns]),
+            ShrinkageVector(self.shrinkage[columns]),
+            ValueBlock(self.values[:, columns]),
+        )
+
+    def append_frame(
+        self,
+        keys: KeyBlock,
+        shrinkage: ShrinkageVector,
+        values: ValueBlock,
+        frame_idx: int,
+    ) -> None:
+        """Append one frame's columns with zero usage. The first append is the
+        immortal reference frame."""
+        if not self.unbounded and self.frame_count >= self.t_max:
+            raise CapacityError(
+                f"append at frame cap t_max={self.t_max}; consolidation is overdue"
+            )
+        hw = self.hw
+        if keys.data.shape != (self.dims.c_k, hw):
+            raise ShapeError(
+                f"frame keys {keys.data.shape} != ({self.dims.c_k}, {hw})"
+            )
+        if values.data.shape != (self.dims.c_v, hw):
+            raise ShapeError(
+                f"frame values {values.data.shape} != ({self.dims.c_v}, {hw})"
+            )
+        if shrinkage.n != hw:
+            raise ShapeError(f"frame shrinkage has {shrinkage.n} entries, want {hw}")
+        if self.inserted_at and frame_idx <= self.inserted_at[-1]:
+            raise ContractError(
+                f"insertion frame {frame_idx} not after {self.inserted_at[-1]}"
+            )
+        if self.n + hw > self.capacity:
+            self._grow()
+        self.n = self._put(self.n, keys.data, shrinkage.data, values.data, 0.0)
+        self.inserted_at.append(frame_idx)
+
+    def add_usage(self, mass: np.ndarray) -> None:
+        """Add one read's affinity mass, one entry per column in [0, n)."""
+        mass = np.asarray(mass)
+        if mass.shape != (self.n,):
+            raise ShapeError(f"usage mass has shape {mass.shape}, want ({self.n},)")
+        self.usage[: self.n] += mass
+
+    def normalized_usage(self, current_frame_idx: int) -> np.ndarray:
+        """Usage of each working column divided by its frames of residency
+        (clamped to 1).
+
+        A read opportunity is one processed frame, so residency is counted in
+        frames since insertion rather than in memory insertions.
+        """
+        if self.inserted_at and current_frame_idx < self.inserted_at[-1]:
+            raise ContractError(
+                f"current frame {current_frame_idx} precedes insertion "
+                f"{self.inserted_at[-1]}"
+            )
+        duration = np.maximum(1, current_frame_idx - np.asarray(self.inserted_at))
+        return self.usage[self.lt : self.n] / np.repeat(duration, self.hw)
+
+    def candidates(
+        self, current_frame_idx: int
+    ) -> tuple[KeyBlock, ShrinkageVector, ValueBlock, np.ndarray]:
+        """Views of the consolidation candidates, the t_max - t_min frames
+        after the reference frame, and their residency-normalized usage."""
+        self._check_full()
+        hw = self.hw
+        first = self.lt + hw
+        count = (self.t_max - self.t_min) * hw
+        usage = self.normalized_usage(current_frame_idx)[hw : hw + count]
+        return (*self.blocks(slice(first, first + count)), usage)
+
+    def commit(
+        self, proto_keys: KeyBlock, proto_shrinkage: ShrinkageVector, proto_values: ValueBlock
+    ) -> ConsolidationReport:
+        """Replace the candidate frames by prototypes, in place.
+
+        The columns become [surviving long-term | prototypes | reference and
+        t_min - 1 newest frames]. When l_max would be exceeded, the least-used
+        long-term columns are evicted first (ties toward the lower index) and
+        the survivors keep their order. New prototypes start at zero usage.
+        """
+        self._check_full()
+        new = proto_keys.n
+        if proto_shrinkage.n != new or proto_values.n != new:
+            raise ShapeError("prototype key/shrinkage/value counts differ")
+        if new > self.l_max:
+            raise ConfigError(f"committing {new} prototypes exceeds l_max={self.l_max}")
+        hw = self.hw
+        candidates = (self.t_max - self.t_min) * hw
+        # copied out now: the prototypes may land on these columns
+        kept = np.r_[self.lt : self.lt + hw, self.lt + hw + candidates : self.n]
+        retained = (self.keys[:, kept], self.shrinkage[kept], self.values[:, kept], self.usage[kept])
+        evicted = max(0, self.lt + new - self.l_max)
+        if evicted:
+            order = np.argsort(self.usage[: self.lt], kind="stable")
+            # every column before the first evicted one is already in place
+            lo = int(order[:evicted].min())
+            moved = np.sort(order[evicted:])[lo:]
+            self._put(
+                lo, self.keys[:, moved], self.shrinkage[moved],
+                self.values[:, moved], self.usage[moved],
+            )
+            self.lt -= evicted
+        self.lt = self._put(self.lt, proto_keys.data, proto_shrinkage.data, proto_values.data, 0.0)
+        self.n = self._put(self.lt, *retained)
+        self.inserted_at = self.inserted_at[:1] + self.inserted_at[1 + self.t_max - self.t_min :]
+        return ConsolidationReport(
+            prototype_count=new, evicted_count=evicted, candidate_elements=candidates
+        )
+
+    def _check_full(self) -> None:
+        if self.unbounded or self.frame_count != self.t_max:
+            raise ContractError(
+                f"consolidation requires frame_count == t_max, have {self.frame_count}"
+            )
+
+    def _put(self, start: int, keys, shrinkage, values, usage) -> int:
+        """Write columns from `start` on; returns the column after the last."""
+        stop = start + len(shrinkage)
+        self.keys[:, start:stop] = keys
+        self.shrinkage[start:stop] = shrinkage
+        self.values[:, start:stop] = values
+        self.usage[start:stop] = usage
+        return stop
+
+    def _grow(self) -> None:
+        cap = 2 * self.capacity
+        for name in ("keys", "values", "shrinkage", "usage"):
+            old = getattr(self, name)
+            new = np.zeros(old.shape[:-1] + (cap,), dtype=old.dtype)
+            new[..., : self.n] = old[..., : self.n]
+            setattr(self, name, new)

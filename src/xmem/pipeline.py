@@ -1,11 +1,12 @@
 """Per-frame orchestration across the three memory stores.
 
-Every frame: read from the concatenated working + long-term memory, route the
-affinity mass into per-element usage, and advance the sensory state. Every
-r-th frame: copy the query in as a new working-memory key (with its value and
-shrinkage) and optionally deep-update the sensory state. When the working
-memory reaches its frame cap, consolidate the oldest non-reference frames
-into long-term prototypes, evicting least-used prototypes if the cap demands.
+Every frame: read from the track's memory (long-term prototypes and working
+frames in one buffer), route the affinity mass into per-element usage, and
+advance the sensory state. Every r-th frame: copy the query in as a new
+working-memory key (with its value and shrinkage) and optionally deep-update
+the sensory state. When the working memory reaches its frame cap,
+consolidate the oldest non-reference frames into long-term prototypes,
+evicting least-used prototypes if the cap demands.
 
 One pipeline per stream; object tracks share nothing and the frame loop is
 sequential.
@@ -14,34 +15,31 @@ sequential.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
 
-from .affinity import AffinityMatrix, affinity, readout, similarity, usage_mass
+from .affinity import affinity, readout, similarity, usage_mass
 from .core_types import (
     ConfigError,
     ContractError,
     FeatureDims,
     KeyBlock,
     QueryBlock,
-    SelectionBlock,
-    ShrinkageVector,
     ValueBlock,
     map_selection,
     map_shrinkage,
 )
 from .long_term_memory import (
     ConsolidationReport,
-    LongTermMemory,
     potentiate,
     select_kmeans,
     select_prototypes,
     select_random,
 )
+from .memory import Segment, TrackMemory
 from .sensory import GruWeights, SensoryState, deep_update, gru_step
-from .working_memory import WorkingMemory
 
 DeepUpdateMode = Literal["every_rth", "every_frame", "never"]
 PrototypeStrategy = Literal["usage", "random", "kmeans"]
@@ -62,8 +60,6 @@ class PipelineConfig:
     prototype_strategy: PrototypeStrategy = "usage"
     insert_offset: int = 0
     unbounded: bool = False
-    potentiation_filtered: bool = True
-    gru_kernel_size: int = 1
     sensory_input_channels: int | None = None
 
     def __post_init__(self):
@@ -116,13 +112,20 @@ class ObjectFeatures:
 @dataclass
 class ObjectTrack:
     object_id: int
-    working: WorkingMemory
-    long_term: LongTermMemory
+    memory: TrackMemory
     sensory: SensoryState
 
     @property
+    def working(self) -> Segment:
+        return self.memory.working
+
+    @property
+    def long_term(self) -> Segment:
+        return self.memory.long_term
+
+    @property
     def total_elements(self) -> int:
-        return self.working.element_count + self.long_term.element_count
+        return self.memory.n
 
 
 @dataclass(frozen=True)
@@ -174,12 +177,8 @@ class Pipeline:
 
         ss = np.random.SeedSequence(seed)
         gru_seq, deep_seq, probe_seq = ss.spawn(3)
-        self.gru_weights = GruWeights.seeded(
-            config.sensory_channels, dims.c_h, config.gru_kernel_size, gru_seq
-        )
-        self.deep_weights = GruWeights.seeded(
-            dims.c_v, dims.c_h, config.gru_kernel_size, deep_seq
-        )
+        self.gru_weights = GruWeights.seeded(config.sensory_channels, dims.c_h, seed=gru_seq)
+        self.deep_weights = GruWeights.seeded(dims.c_v, dims.c_h, seed=deep_seq)
         # stand-in for mask decoding: a fixed linear probe from the readout
         # to one foreground logit per position
         probe_rng = np.random.default_rng(probe_seq)
@@ -190,10 +189,10 @@ class Pipeline:
 
         self.tracks: list[ObjectTrack] = []
         for obj_id, feats in enumerate(first_frame):
-            wm = WorkingMemory(
-                dims, config.t_min, None if config.unbounded else config.t_max
+            memory = TrackMemory(
+                dims, config.t_min, config.t_max, config.l_max, config.unbounded
             )
-            wm.append_frame(
+            memory.append_frame(
                 KeyBlock(feats.raw_query),
                 map_shrinkage(feats.raw_shrinkage),
                 ValueBlock(feats.values),
@@ -202,8 +201,7 @@ class Pipeline:
             self.tracks.append(
                 ObjectTrack(
                     object_id=obj_id,
-                    working=wm,
-                    long_term=LongTermMemory(dims.c_k, dims.c_v, config.l_max),
+                    memory=memory,
                     sensory=SensoryState.zeros(dims.c_h, dims.h, dims.w),
                 )
             )
@@ -215,14 +213,14 @@ class Pipeline:
     def is_insertion_frame(self, frame_idx: int) -> bool:
         return frame_idx % self.config.r == self.config.insert_offset % self.config.r
 
-    def _select(self, bundle, frame_idx: int) -> list[int]:
+    def _select(self, keys: KeyBlock, usage: np.ndarray, frame_idx: int) -> list[int]:
         cfg = self.config
         if cfg.prototype_strategy == "usage":
-            return select_prototypes(bundle.keys, bundle.normalized_usage, cfg.p)
+            return select_prototypes(keys, usage, cfg.p)
         rng = np.random.default_rng((self.seed, frame_idx))
         if cfg.prototype_strategy == "random":
-            return select_random(bundle.keys, bundle.normalized_usage, cfg.p, rng)
-        return select_kmeans(bundle.keys, bundle.normalized_usage, cfg.p, rng)
+            return select_random(keys, usage, cfg.p, rng)
+        return select_kmeans(keys, usage, cfg.p, rng)
 
     # -- per-frame loop ----------------------------------------------------
 
@@ -246,32 +244,19 @@ class Pipeline:
         read_ns = 0
 
         for track, feats in zip(self.tracks, features):
-            wm, lt = track.working, track.long_term
+            memory = track.memory
             query = QueryBlock(feats.raw_query)
             selection = map_selection(feats.raw_selection)
             shrinkage = map_shrinkage(feats.raw_shrinkage)
-
-            combined_keys = KeyBlock(
-                np.concatenate([wm.concatenated_keys(), lt.keys], axis=1)
-            )
-            combined_shrinkage = ShrinkageVector(
-                np.concatenate([wm.concatenated_shrinkage(), lt.shrinkage])
-            )
-            combined_values = ValueBlock(
-                np.concatenate([wm.concatenated_values(), lt.values], axis=1)
-            )
+            mem_keys, mem_shrinkage, mem_values = memory.blocks(slice(memory.n))
 
             t0 = time.perf_counter_ns()
-            sim = similarity(combined_keys, combined_shrinkage, query, selection)
-            weights: AffinityMatrix = affinity(sim, cfg.top_k)
-            feat = readout(combined_values, weights)
+            sim = similarity(mem_keys, mem_shrinkage, query, selection)
+            weights = affinity(sim, cfg.top_k)
+            feat = readout(mem_values, weights)
             read_ns += time.perf_counter_ns() - t0
             readouts.append(feat)
-
-            mass = usage_mass(weights).per_element
-            split = wm.element_count
-            wm.accumulate_usage(mass[:split])
-            lt.accumulate_usage(mass[split:])
+            memory.add_usage(usage_mass(weights).per_element)
 
             track.sensory = gru_step(track.sensory, _grid(feats.sensory_input, dims), self.gru_weights)
             if cfg.deep_update_mode == "every_frame":
@@ -279,35 +264,25 @@ class Pipeline:
                     track.sensory, _grid(feats.values, dims), self.deep_weights
                 )
 
-            consolidated = False
-            evicted = 0
             report = None
             if insert:
-                wm.append_frame(
+                memory.append_frame(
                     KeyBlock(query.data), shrinkage, ValueBlock(feats.values), frame_idx
                 )
                 if cfg.deep_update_mode == "every_rth":
                     track.sensory = deep_update(
                         track.sensory, _grid(feats.values, dims), self.deep_weights
                     )
-                if not cfg.unbounded and wm.frame_count == cfg.t_max:
-                    _, bundle = wm.split_for_consolidation(frame_idx)
-                    indices = self._select(bundle, frame_idx)
-                    proto_k, proto_s, proto_v = potentiate(
-                        bundle.keys,
-                        bundle.shrinkage,
-                        bundle.values,
-                        indices,
-                        cfg.top_k if cfg.potentiation_filtered else None,
+                if not cfg.unbounded and memory.frame_count == cfg.t_max:
+                    cand_keys, cand_shrinkage, cand_values, cand_usage = (
+                        memory.candidates(frame_idx)
                     )
-                    evicted = lt.commit(proto_k, proto_s, proto_v)
-                    consolidated = True
-                    report = ConsolidationReport(
-                        prototype_count=len(indices),
-                        evicted_count=evicted,
-                        candidate_elements=bundle.keys.n,
+                    indices = self._select(cand_keys, cand_usage, frame_idx)
+                    report = memory.commit(
+                        *potentiate(cand_keys, cand_shrinkage, cand_values, indices, cfg.top_k)
                     )
-            events.append(FrameEvents(insert, consolidated, evicted, report))
+            evicted = report.evicted_count if report else 0
+            events.append(FrameEvents(insert, report is not None, evicted, report))
             probs[track.object_id] = _sigmoid_probe(self.probe, feat)
 
         fused = soft_aggregate(probs)

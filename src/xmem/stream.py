@@ -12,8 +12,9 @@ little-endian):
         sensory_input c_in * h * w
 
 Declared sizes must match the byte length exactly; any mismatch is reported
-with the byte offset where parsing failed. Long-term snapshots reuse the same
-block conventions under the "XMLT" magic.
+with the byte offset where parsing failed. Long-term snapshots ("XMLT" magic,
+version 2) reuse the same block conventions, except that usage is float64 so
+the counters round-trip exactly.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .pipeline import ObjectFeatures
 MAGIC = b"XMFS"
 SNAPSHOT_MAGIC = b"XMLT"
 VERSION = 1
+SNAPSHOT_VERSION = 2
 _HEADER = struct.Struct("<4s8I")
 
 _FIELD_OFFSETS = {
@@ -73,7 +75,8 @@ class StreamHeader:
 
 def read_header(path: str | Path) -> StreamHeader:
     path = Path(path)
-    raw = path.read_bytes()[: _HEADER.size]
+    with open(path, "rb") as f:
+        raw = f.read(_HEADER.size)
     if len(raw) < _HEADER.size:
         raise StreamFormatError(
             f"truncated header: {len(raw)} bytes, need {_HEADER.size}", len(raw)
@@ -209,14 +212,15 @@ class SnapshotObject:
 
 def write_lt_snapshot(path: str | Path, tracks) -> None:
     """Serialize each track's long-term store for offline inspection."""
+    dims = tracks[0].memory.dims
     with open(path, "wb") as f:
-        first = tracks[0].long_term
-        f.write(_SNAP_HEADER.pack(SNAPSHOT_MAGIC, VERSION, len(tracks), first.c_k, first.c_v))
+        f.write(_SNAP_HEADER.pack(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, len(tracks), dims.c_k, dims.c_v))
         for track in tracks:
-            lt = track.long_term
-            f.write(struct.pack("<I", lt.element_count))
-            for arr in (lt.keys, lt.shrinkage, lt.values, lt.usage):
+            memory, lt = track.memory, track.long_term.columns
+            f.write(struct.pack("<I", memory.lt))
+            for arr in (memory.keys[:, lt], memory.shrinkage[lt], memory.values[:, lt]):
                 f.write(np.asarray(arr, dtype="<f4").tobytes())
+            f.write(np.asarray(memory.usage[lt], dtype="<f8").tobytes())
 
 
 def read_lt_snapshot(path: str | Path) -> list[SnapshotObject]:
@@ -226,8 +230,8 @@ def read_lt_snapshot(path: str | Path) -> list[SnapshotObject]:
     magic, version, objects, c_k, c_v = _SNAP_HEADER.unpack(blob[: _SNAP_HEADER.size])
     if magic != SNAPSHOT_MAGIC:
         raise StreamFormatError(f"bad magic {magic!r}, want {SNAPSHOT_MAGIC!r}", 0)
-    if version != VERSION:
-        raise StreamFormatError(f"unsupported version {version}", 4)
+    if version != SNAPSHOT_VERSION:
+        raise StreamFormatError(f"unsupported snapshot version {version}", 4)
     out = []
     offset = _SNAP_HEADER.size
     for _ in range(objects):
@@ -236,14 +240,14 @@ def read_lt_snapshot(path: str | Path) -> list[SnapshotObject]:
         (count,) = struct.unpack_from("<I", blob, offset)
         offset += 4
         blocks = []
-        for rows in (c_k, 1, c_v, 1):
-            n_floats = rows * count
-            end = offset + 4 * n_floats
+        for rows, dtype in ((c_k, "<f4"), (1, "<f4"), (c_v, "<f4"), (1, "<f8")):
+            n_items = rows * count
+            end = offset + np.dtype(dtype).itemsize * n_items
             if end > len(blob):
                 raise StreamFormatError("truncated snapshot block", len(blob))
-            arr = np.frombuffer(blob, dtype="<f4", count=n_floats, offset=offset).copy()
+            arr = np.frombuffer(blob, dtype=dtype, count=n_items, offset=offset).copy()
             blocks.append(arr.reshape(rows, count) if rows > 1 else arr)
-            offset += 4 * n_floats
+            offset = end
         out.append(SnapshotObject(*blocks))
     if offset != len(blob):
         raise StreamFormatError("trailing bytes after snapshot payload", offset)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -6,9 +8,10 @@ from hypothesis import strategies as st
 
 from xmem import (
     ConfigError,
+    FeatureDims,
     KeyBlock,
-    LongTermMemory,
     ShrinkageVector,
+    TrackMemory,
     ValueBlock,
     potentiate,
     select_kmeans,
@@ -25,11 +28,6 @@ def _candidates(rng, n, c_k=3, c_v=4):
         ShrinkageVector(rng.uniform(1, 6, n).astype(np.float32)),
         ValueBlock(rng.uniform(-2, 2, (c_v, n)).astype(np.float32)),
     )
-
-
-def _protos(rng, n, c_k=3, c_v=4):
-    keys, shrink, values = _candidates(rng, n, c_k, c_v)
-    return keys, shrink, values
 
 
 # -- selection ---------------------------------------------------------------
@@ -76,6 +74,20 @@ def test_select_kmeans_unique_and_snapped():
     assert all(0 <= i < 30 for i in picked)
     repeat = select_kmeans(keys, np.zeros(30), 6, np.random.default_rng(7))
     assert picked == repeat
+
+
+def test_select_kmeans_memory_stays_small():
+    # distances come from the GEMM expansion; an n x p x c_k float64
+    # temporary would be 32 MB here
+    keys = KeyBlock(np.random.default_rng(39).standard_normal((32, 2000)).astype(np.float32))
+    tracemalloc.start()
+    try:
+        picked = select_kmeans(keys, np.zeros(2000), 64, np.random.default_rng(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(set(picked)) == 64
+    assert peak < 8 * 2**20
 
 
 # -- potentiation --------------------------------------------------------------
@@ -135,93 +147,116 @@ def test_potentiate_rejects_duplicate_indices():
 
 
 # -- commit / eviction ---------------------------------------------------------
+#
+# The long-term segment of a TrackMemory is filled by consolidating one
+# candidate frame at a time (t_min=2, t_max=3), selecting its first `count`
+# columns as prototypes.
+
+LT_DIMS = FeatureDims(h=2, w=8, c_k=2, c_v=2, c_h=2)
+
+
+def _commit(memory, count, seed=0):
+    rng = np.random.default_rng(seed)
+    frame = memory.inserted_at[-1] + 1
+    memory.append_frame(*_candidates(rng, LT_DIMS.hw(), c_k=2, c_v=2), frame_idx=frame)
+    keys, shrinkage, values, _ = memory.candidates(frame)
+    protos = np.arange(count)
+    report = memory.commit(
+        KeyBlock(keys.data[:, protos]),
+        ShrinkageVector(shrinkage.data[protos]),
+        ValueBlock(values.data[:, protos]),
+    )
+    return report.evicted_count
+
+
+def _set_lt_usage(memory, usage):
+    memory.add_usage(np.concatenate([
+        np.asarray(usage, dtype=np.float64) - memory.usage[: memory.lt],
+        np.zeros(memory.working.element_count),
+    ]))
+
 
 def _store(l_max=3, usages=()):
-    lt = LongTermMemory(c_k=2, c_v=2, l_max=l_max)
+    memory = TrackMemory(LT_DIMS, t_min=2, t_max=3, l_max=l_max)
+    rng = np.random.default_rng(40)
+    for i in range(2):
+        memory.append_frame(*_candidates(rng, LT_DIMS.hw(), c_k=2, c_v=2), frame_idx=i)
     if usages:
-        n = len(usages)
-        lt.commit(
-            KeyBlock(np.arange(2 * n, dtype=np.float32).reshape(2, n)),
-            ShrinkageVector(np.ones(n, dtype=np.float32)),
-            ValueBlock(np.zeros((2, n), dtype=np.float32)),
-        )
-        lt.accumulate_usage(np.asarray(usages, dtype=np.float64))
-    return lt
+        _commit(memory, len(usages))
+        _set_lt_usage(memory, usages)
+    return memory
+
+
+def _lt_keys(memory):
+    return memory.keys[:, memory.long_term.columns]
 
 
 def test_commit_evicts_least_used():
-    lt = _store(l_max=3, usages=[5.0, 1.0, 3.0])
-    survivor_key = lt.keys[:, 0].copy()
-    rng = np.random.default_rng(41)
-    evicted = lt.commit(*_protos(rng, 2, c_k=2, c_v=2))
+    memory = _store(l_max=3, usages=[5.0, 1.0, 3.0])
+    survivor_key = _lt_keys(memory)[:, 0].copy()
+    evicted = _commit(memory, 2, seed=41)
     assert evicted == 2
-    assert lt.element_count == 3
-    npt.assert_array_equal(lt.keys[:, 0], survivor_key)
-    npt.assert_array_equal(lt.usage, [5.0, 0.0, 0.0])
+    assert memory.long_term.element_count == 3
+    npt.assert_array_equal(_lt_keys(memory)[:, 0], survivor_key)
+    npt.assert_array_equal(memory.usage[: memory.lt], [5.0, 0.0, 0.0])
 
 
 def test_commit_without_overflow_evicts_nothing():
-    lt = _store(l_max=10, usages=[1.0, 2.0])
-    rng = np.random.default_rng(42)
-    assert lt.commit(*_protos(rng, 3, c_k=2, c_v=2)) == 0
-    assert lt.element_count == 5
+    memory = _store(l_max=10, usages=[1.0, 2.0])
+    assert _commit(memory, 3, seed=42) == 0
+    assert memory.long_term.element_count == 5
 
 
 def test_commit_eviction_tie_breaks_toward_lower_index():
-    lt = _store(l_max=3, usages=[2.0, 2.0, 5.0])
-    kept = lt.keys[:, [1, 2]].copy()
-    rng = np.random.default_rng(43)
-    lt.commit(*_protos(rng, 1, c_k=2, c_v=2))
-    npt.assert_array_equal(lt.keys[:, :2], kept)
+    memory = _store(l_max=3, usages=[2.0, 2.0, 5.0])
+    kept = _lt_keys(memory)[:, [1, 2]].copy()
+    _commit(memory, 1, seed=43)
+    npt.assert_array_equal(_lt_keys(memory)[:, :2], kept)
 
 
 def test_commit_oversized_batch_rejected():
-    lt = _store(l_max=3)
-    rng = np.random.default_rng(44)
+    memory = _store(l_max=3)
     with pytest.raises(ConfigError):
-        lt.commit(*_protos(rng, 4, c_k=2, c_v=2))
+        _commit(memory, 4, seed=44)
 
 
 def test_commit_survivors_match_sort_truncate():
-    rng = np.random.default_rng(45)
-    lt = _store(l_max=20)
-    rng_usage = np.random.default_rng(46)
-    lt.commit(*_protos(rng, 15, c_k=2, c_v=2))
-    usage = rng_usage.uniform(0, 10, 15)
-    lt.accumulate_usage(usage - lt.usage[:15])
-    tagged = lt.keys.copy()
-    new = 9
-    lt.commit(*_protos(rng, new, c_k=2, c_v=2))
-    # survivors must be exactly the usage-sorted tail of the old elements
+    memory = _store(l_max=20)
+    _commit(memory, 15, seed=45)
+    usage = np.random.default_rng(46).uniform(0, 10, 15)
+    _set_lt_usage(memory, usage)
+    tagged = _lt_keys(memory).copy()
+    _commit(memory, 9, seed=47)
+    # survivors must be exactly the usage-sorted tail of the old elements, in
+    # their old order, followed by the new prototypes
     order = np.argsort(usage, kind="stable")
     expected_keep = sorted(order[4:])  # 15 + 9 - 20 = 4 evicted
-    npt.assert_array_equal(lt.keys[:, : len(expected_keep)], tagged[:, expected_keep])
-
-
-def test_initial_usage_override():
-    lt = _store(l_max=5)
-    rng = np.random.default_rng(47)
-    lt.commit(*_protos(rng, 2, c_k=2, c_v=2), initial_usage=np.array([3.0, 4.0]))
-    npt.assert_array_equal(lt.usage, [3.0, 4.0])
+    npt.assert_array_equal(_lt_keys(memory)[:, : len(expected_keep)], tagged[:, expected_keep])
+    npt.assert_array_equal(memory.usage[: len(expected_keep)], usage[expected_keep])
+    npt.assert_array_equal(memory.usage[len(expected_keep) : memory.lt], 0.0)
 
 
 def test_accumulate_usage_totals():
-    lt = _store(l_max=6, usages=[0.0, 0.0])
-    lt.accumulate_usage(np.array([0.25, 4.0]))
-    npt.assert_allclose(lt.usage, [0.25, 4.0])
-    lt.accumulate_usage(np.zeros(2))
-    npt.assert_allclose(lt.usage, [0.25, 4.0])
+    memory = _store(l_max=6, usages=[0.0, 0.0])
+    working = np.zeros(memory.working.element_count)
+    memory.add_usage(np.concatenate([[0.25, 4.0], working]))
+    npt.assert_allclose(memory.usage[: memory.lt], [0.25, 4.0])
+    memory.add_usage(np.zeros(memory.n))
+    npt.assert_allclose(memory.usage[: memory.lt], [0.25, 4.0])
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.integers(0, 6), min_size=1, max_size=25), st.integers(6, 30))
 def test_commit_sequence_never_exceeds_cap(batch_sizes, l_max):
     rng = np.random.default_rng(48)
-    lt = LongTermMemory(c_k=2, c_v=2, l_max=l_max)
+    memory = _store(l_max=l_max)
+    cap = memory.capacity
+    assert cap == memory.t_max * LT_DIMS.hw() + l_max
     for size in batch_sizes:
-        lt.commit(*_protos(rng, size, c_k=2, c_v=2))
-        lt.accumulate_usage(rng.uniform(0, 1, lt.element_count))
-        assert lt.element_count <= l_max
+        _commit(memory, size, seed=size)
+        memory.add_usage(rng.uniform(0, 1, memory.n))
+        assert memory.long_term.element_count <= l_max
+        assert memory.n <= cap == memory.capacity
 
 
 def test_consolidation_report_ratio():

@@ -154,20 +154,36 @@ def test_usage_mass_is_conserved_per_read():
     cfg = _config(r=3, t_min=2, t_max=4, p=6, l_max=30)
     frames = _frames(40)
     p = Pipeline(cfg, next(frames))
+    memory = p.tracks[0].memory
     for idx, feats in enumerate(frames, start=1):
-        before = (
-            np.concatenate([f.usage for f in p.tracks[0].working.frames]).sum()
-            + p.tracks[0].long_term.usage.sum()
-        )
+        before = memory.usage[: memory.n].sum()
         events = p.step(feats, idx)[0].events
-        after = (
-            np.concatenate([f.usage for f in p.tracks[0].working.frames]).sum()
-            + p.tracks[0].long_term.usage.sum()
-        )
+        after = memory.usage[: memory.n].sum()
         if not events.inserted:
             # insertion adds zero-usage elements and consolidation drops
             # candidates, so only plain frames see exactly one read's mass
             assert abs((after - before) - DIMS.hw()) < 1e-3
+
+
+def test_reads_are_views_of_the_store(monkeypatch):
+    import xmem.pipeline as pl
+
+    read_keys = []
+    real = pl.similarity
+
+    def spy(keys, shrinkage, query, selection):
+        read_keys.append(keys.data)
+        return real(keys, shrinkage, query, selection)
+
+    monkeypatch.setattr(pl, "similarity", spy)
+    cfg = _config(r=2, t_min=2, t_max=4, p=6, l_max=30)
+    frames = _frames(4)
+    p = Pipeline(cfg, next(frames))
+    for idx in (1, 2):
+        p.step(next(frames), idx)
+    buffer = p.tracks[0].memory.keys
+    assert len(read_keys) == 2
+    assert all(np.shares_memory(keys, buffer) for keys in read_keys)
 
 
 def test_unbounded_mode_grows_linearly():
@@ -190,7 +206,7 @@ def test_deterministic_replay_is_bitwise():
             last = p.step(feats, idx)
         return (
             last[0].readout.tobytes(),
-            p.tracks[0].long_term.keys.tobytes(),
+            p.tracks[0].memory.keys[:, p.tracks[0].long_term.columns].tobytes(),
             p.tracks[0].sensory.h.tobytes(),
         )
 

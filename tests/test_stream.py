@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -86,6 +88,17 @@ def test_truncated_header_reports_length(tmp_path):
     assert err.value.offset == 6
 
 
+def test_header_read_does_not_load_the_file(tmp_path, monkeypatch):
+    path = tmp_path / "stream.xmfs"
+    generate_synthetic(path, seed=2, header=HEADER, drift=0.1)
+
+    def refuse(self):
+        raise AssertionError("read_header must not read the whole file")
+
+    monkeypatch.setattr(Path, "read_bytes", refuse)
+    assert read_header(path) == HEADER
+
+
 def test_truncated_payload_reports_offset(tmp_path):
     path = tmp_path / "trunc.xmfs"
     generate_synthetic(path, seed=2, header=HEADER, drift=0.1)
@@ -120,12 +133,21 @@ def test_snapshot_roundtrip(tmp_path):
     snaps = read_lt_snapshot(path)
     assert len(snaps) == 2
     for track, snap in zip(pipeline.tracks, snaps):
-        lt = track.long_term
-        assert lt.element_count > 0
-        npt.assert_array_equal(snap.keys, lt.keys)
-        npt.assert_array_equal(snap.shrinkage, lt.shrinkage)
-        npt.assert_array_equal(snap.values, lt.values)
-        npt.assert_allclose(snap.usage, lt.usage.astype(np.float32))
+        memory, lt = track.memory, track.long_term.columns
+        assert track.long_term.element_count > 0
+        npt.assert_array_equal(snap.keys, memory.keys[:, lt])
+        npt.assert_array_equal(snap.shrinkage, memory.shrinkage[lt])
+        npt.assert_array_equal(snap.values, memory.values[:, lt])
+        assert snap.usage.dtype == np.float64
+        npt.assert_array_equal(snap.usage, memory.usage[lt])
+
+
+def test_snapshot_version_1_rejected(tmp_path):
+    path = tmp_path / "old.xmlt"
+    path.write_bytes(b"XMLT" + (1).to_bytes(4, "little") + bytes(12))
+    with pytest.raises(StreamFormatError) as err:
+        read_lt_snapshot(path)
+    assert err.value.offset == 4
 
 
 def test_snapshot_bad_magic(tmp_path):

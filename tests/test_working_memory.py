@@ -11,8 +11,8 @@ from xmem import (
     KeyBlock,
     ShapeError,
     ShrinkageVector,
+    TrackMemory,
     ValueBlock,
-    WorkingMemory,
 )
 
 DIMS = FeatureDims(h=3, w=4, c_k=2, c_v=3, c_h=2)
@@ -28,141 +28,179 @@ def _frame(seed):
     )
 
 
-def _filled(t_min, t_max, n_frames, r=10):
-    wm = WorkingMemory(DIMS, t_min=t_min, t_max=t_max)
+def _filled(t_min, t_max, n_frames, r=10, l_max=50, unbounded=False):
+    memory = TrackMemory(DIMS, t_min=t_min, t_max=t_max, l_max=l_max, unbounded=unbounded)
     for i in range(n_frames):
-        wm.append_frame(*_frame(i), frame_idx=i * r)
-    return wm
+        memory.append_frame(*_frame(i), frame_idx=i * r)
+    return memory
+
+
+def _consolidate(memory, frame_idx, picks=()):
+    """Commit the picked candidates unchanged; returns the candidate keys."""
+    keys, shrinkage, values, _ = memory.candidates(frame_idx)
+    offered = keys.data.copy()
+    picks = list(picks)
+    memory.commit(
+        KeyBlock(keys.data[:, picks]),
+        ShrinkageVector(shrinkage.data[picks]),
+        ValueBlock(values.data[:, picks]),
+    )
+    return offered
 
 
 def test_first_append_is_reference():
-    wm = _filled(2, 4, 1)
-    assert wm.frame_count == 1
-    assert wm.frames[0].is_reference
-    npt.assert_array_equal(wm.frames[0].usage, 0.0)
+    memory = _filled(2, 4, 1)
+    assert memory.frame_count == 1
+    assert memory.inserted_at == [0]
+    assert memory.working.columns == slice(0, DIMS.hw())
+    npt.assert_array_equal(memory.keys[:, : DIMS.hw()], _frame(0)[0].data)
+    npt.assert_array_equal(memory.usage[: memory.n], 0.0)
 
 
 def test_element_count_bookkeeping():
-    wm = _filled(2, 5, 3)
-    assert wm.element_count == 3 * DIMS.hw()
+    memory = _filled(2, 5, 3)
+    assert memory.working.element_count == 3 * DIMS.hw()
+    assert memory.long_term.element_count == 0
 
 
 def test_append_at_cap_rejected():
-    wm = _filled(5, 10, 10)
+    memory = _filled(5, 10, 10)
     with pytest.raises(CapacityError):
-        wm.append_frame(*_frame(99), frame_idx=1000)
+        memory.append_frame(*_frame(99), frame_idx=1000)
 
 
 def test_uncapped_store_grows_freely():
-    wm = WorkingMemory(DIMS, t_min=2, t_max=None)
+    # an unbounded store outgrows its initial t_max*hw + l_max columns by
+    # doubling and keeps every column and usage value
+    memory = TrackMemory(DIMS, t_min=2, t_max=3, l_max=5, unbounded=True)
+    initial = memory.capacity
+    rng = np.random.default_rng(3)
+    mass = []
     for i in range(25):
-        wm.append_frame(*_frame(i), frame_idx=i)
-    assert wm.frame_count == 25
+        memory.append_frame(*_frame(i), frame_idx=i)
+        mass.append(rng.uniform(0, 1, memory.n))
+        memory.add_usage(mass[-1])
+    assert memory.frame_count == 25
+    assert memory.capacity > initial
+    hw = DIMS.hw()
+    for i in range(25):
+        cols = slice(i * hw, (i + 1) * hw)
+        keys, shrinkage, values = _frame(i)
+        npt.assert_array_equal(memory.keys[:, cols], keys.data)
+        npt.assert_array_equal(memory.shrinkage[cols], shrinkage.data)
+        npt.assert_array_equal(memory.values[:, cols], values.data)
+    total = sum(np.pad(m, (0, memory.n - m.size)) for m in mass)
+    npt.assert_allclose(memory.usage[: memory.n], total, atol=1e-9)
 
 
 def test_accumulate_usage_is_additive():
-    wm = _filled(2, 4, 1)
+    memory = _filled(2, 4, 1)
     hw = DIMS.hw()
     a = np.zeros(hw)
     a[0], a[1] = 0.1, 0.2
     b = np.zeros(hw)
     b[0] = 0.3
-    wm.accumulate_usage(a)
-    wm.accumulate_usage(b)
-    npt.assert_allclose(wm.frames[0].usage[:2], [0.4, 0.2])
+    memory.add_usage(a)
+    memory.add_usage(b)
+    npt.assert_allclose(memory.usage[:2], [0.4, 0.2])
 
 
 def test_accumulate_zero_mass_is_noop():
-    wm = _filled(2, 4, 2)
-    before = [f.usage.copy() for f in wm.frames]
-    wm.accumulate_usage(np.zeros(wm.element_count))
-    for f, prev in zip(wm.frames, before):
-        npt.assert_array_equal(f.usage, prev)
+    memory = _filled(2, 4, 2)
+    memory.add_usage(np.arange(memory.n, dtype=np.float64))
+    before = memory.usage[: memory.n].copy()
+    memory.add_usage(np.zeros(memory.n))
+    npt.assert_array_equal(memory.usage[: memory.n], before)
 
 
 def test_accumulate_usage_shape_checked():
-    wm = _filled(2, 4, 2)
+    memory = _filled(2, 4, 2)
     with pytest.raises(ShapeError):
-        wm.accumulate_usage(np.zeros(wm.element_count + 1))
+        memory.add_usage(np.zeros(memory.n + 1))
 
 
 def test_usage_totals_match_column_sums():
     rng = np.random.default_rng(21)
-    wm = _filled(2, 6, 4)
-    total = np.zeros(wm.element_count)
+    memory = _filled(2, 6, 4)
+    total = np.zeros(memory.n)
     for _ in range(5):
-        mass = rng.uniform(0, 1, wm.element_count)
-        wm.accumulate_usage(mass)
+        mass = rng.uniform(0, 1, memory.n)
+        memory.add_usage(mass)
         total += mass
-    stored = np.concatenate([f.usage for f in wm.frames])
-    npt.assert_allclose(stored, total, atol=1e-9)
+    npt.assert_allclose(memory.usage[: memory.n], total, atol=1e-9)
 
 
 def test_normalized_usage_divides_by_residency():
-    wm = _filled(2, 4, 1, r=1)
-    mass = np.full(DIMS.hw(), 0.8)
-    wm.accumulate_usage(mass)
-    out = wm.normalized_usage(current_frame_idx=40)
+    memory = _filled(2, 4, 1, r=1)
+    memory.add_usage(np.full(DIMS.hw(), 0.8))
+    out = memory.normalized_usage(current_frame_idx=40)
     npt.assert_allclose(out, 0.02)
 
 
 def test_normalized_usage_clamps_fresh_frames():
-    wm = _filled(2, 4, 1)
-    out = wm.normalized_usage(current_frame_idx=0)
+    memory = _filled(2, 4, 1)
+    out = memory.normalized_usage(current_frame_idx=0)
     npt.assert_array_equal(out, 0.0)
 
 
 def test_normalized_usage_inverse_proportional_to_duration():
-    wm = WorkingMemory(DIMS, t_min=2, t_max=4)
-    wm.append_frame(*_frame(0), frame_idx=0)
-    wm.append_frame(*_frame(1), frame_idx=10)
-    mass = np.ones(wm.element_count)
-    wm.accumulate_usage(mass)
-    out = wm.normalized_usage(current_frame_idx=20)
+    memory = _filled(2, 4, 2)
+    memory.add_usage(np.ones(memory.n))
+    out = memory.normalized_usage(current_frame_idx=20)
     hw = DIMS.hw()
     npt.assert_allclose(out[:hw] / out[hw:], 0.5)  # duration 20 vs 10
 
 
 def test_split_keeps_reference_and_newest():
-    wm = _filled(5, 10, 10)
-    inserted = [f.inserted_at for f in wm.frames]
-    retained, bundle = wm.split_for_consolidation(current_frame_idx=95)
-    assert [f.inserted_at for f in retained] == [inserted[0]] + inserted[6:]
-    assert wm.frame_count == 5
-    assert wm.frames[0].is_reference
-    assert bundle.keys.n == 5 * DIMS.hw()
+    memory = _filled(5, 10, 10)
+    inserted = list(memory.inserted_at)
+    hw = DIMS.hw()
+    kept_keys = np.concatenate(
+        [memory.keys[:, :hw], memory.keys[:, 6 * hw : 10 * hw]], axis=1
+    )
+    assert memory.candidates(95)[0].n == 5 * hw
+    _consolidate(memory, 95, picks=[0, 3])
+    assert memory.inserted_at == [inserted[0]] + inserted[6:]
+    assert memory.frame_count == 5
+    # the reference frame leads the working columns, right after the prototypes
+    assert memory.working.columns == slice(2, 2 + 5 * hw)
+    npt.assert_array_equal(memory.keys[:, memory.working.columns], kept_keys)
 
 
 def test_split_minimal_configuration():
-    wm = _filled(2, 3, 3)
-    retained, bundle = wm.split_for_consolidation(current_frame_idx=25)
-    assert [f.inserted_at for f in retained] == [0, 20]
-    assert bundle.keys.n == DIMS.hw()
+    memory = _filled(2, 3, 3)
+    offered = _consolidate(memory, 25)
+    assert memory.inserted_at == [0, 20]
+    assert offered.shape[1] == DIMS.hw()
 
 
 def test_split_bundle_matches_candidate_columns():
-    wm = _filled(2, 4, 4, r=1)
-    candidate_keys = wm.frames[1].keys.data.copy()
-    candidate_keys2 = wm.frames[2].keys.data.copy()
-    _, bundle = wm.split_for_consolidation(current_frame_idx=3)
+    memory = _filled(2, 4, 4, r=1)
     hw = DIMS.hw()
-    npt.assert_array_equal(bundle.keys.data[:, :hw], candidate_keys)
-    npt.assert_array_equal(bundle.keys.data[:, hw:], candidate_keys2)
+    memory.add_usage(np.arange(memory.n, dtype=np.float64))
+    keys, shrinkage, values, usage = memory.candidates(3)
+    npt.assert_array_equal(keys.data[:, :hw], _frame(1)[0].data)
+    npt.assert_array_equal(keys.data[:, hw:], _frame(2)[0].data)
+    npt.assert_array_equal(values.data[:, hw:], _frame(2)[2].data)
+    npt.assert_array_equal(shrinkage.data[:hw], _frame(1)[1].data)
+    npt.assert_array_equal(usage, memory.normalized_usage(3)[hw : 3 * hw])
 
 
 def test_split_below_cap_rejected():
-    wm = _filled(2, 4, 3)
+    memory = _filled(2, 4, 3)
     with pytest.raises(ContractError):
-        wm.split_for_consolidation(current_frame_idx=30)
+        memory.candidates(30)
+    with pytest.raises(ContractError):
+        memory.commit(*memory.blocks(slice(0, 0)))
 
 
 def test_candidate_residency_meets_schedule_floor():
     # with insertions every r frames, the youngest candidate has been
     # resident for at least r * (t_min - 1) frames at consolidation time
     r, t_min, t_max = 7, 5, 10
-    wm = _filled(t_min, t_max, t_max, r=r)
-    consolidation_frame = wm.frames[-1].inserted_at
-    youngest_candidate = wm.frames[t_max - t_min].inserted_at
+    memory = _filled(t_min, t_max, t_max, r=r)
+    consolidation_frame = memory.inserted_at[-1]
+    youngest_candidate = memory.inserted_at[t_max - t_min]
     assert consolidation_frame - youngest_candidate >= r * (t_min - 1)
 
 
@@ -170,10 +208,15 @@ def test_candidate_residency_meets_schedule_floor():
 @given(st.integers(2, 5), st.integers(1, 6))
 def test_reference_never_a_candidate(t_min, extra):
     t_max = t_min + extra
-    wm = WorkingMemory(DIMS, t_min=t_min, t_max=t_max)
-    for i in range(t_max):
-        wm.append_frame(*_frame(i), frame_idx=i)
-    retained, bundle = wm.split_for_consolidation(current_frame_idx=t_max)
-    assert retained[0].is_reference
-    assert bundle.keys.n == (t_max - t_min) * DIMS.hw()
-    assert sum(f.is_reference for f in wm.frames) == 1
+    memory = _filled(t_min, t_max, t_max, r=1)
+    offered = _consolidate(memory, t_max)
+    hw = DIMS.hw()
+    assert offered.shape[1] == (t_max - t_min) * hw
+    assert not any(
+        np.array_equal(offered[:, i * hw : (i + 1) * hw], _frame(0)[0].data)
+        for i in range(t_max - t_min)
+    )
+    assert memory.inserted_at[0] == 0
+    npt.assert_array_equal(
+        memory.keys[:, memory.working.columns][:, :hw], _frame(0)[0].data
+    )
