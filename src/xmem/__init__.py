@@ -1,13 +1,13 @@
 """Memory-bounded streaming attention-memory engine.
 
 Three cooperating feature stores (sensory, plus working and long-term memory
-sharing one column buffer per object track), an
-anisotropic squared-distance readout with top-k filtered softmax affinity,
+sharing one element-major buffer per object track), an anisotropic
+squared-distance readout over a sparse top-k softmax affinity,
 usage-driven consolidation of working memory into long-term prototypes, and
 LFU eviction under a hard element cap.
 """
 
-from .affinity import AffinityMatrix, SimilarityMatrix, UsageMass, affinity, readout, similarity, usage_mass
+from .affinity import affinity, readout, similarity, usage_mass
 from .core_types import (
     CapacityError,
     ConfigError,

@@ -1,5 +1,11 @@
-"""Memory reading: anisotropic squared-distance similarity, top-k softmax
-affinity, value readout, and per-element usage mass.
+"""Memory reading: anisotropic squared-distance similarity, sparse top-k
+softmax affinity, value readout, and per-element usage mass.
+
+A read keeps what the top-k filter keeps: per query column, the
+k = min(top_k, n) retained element indices in ascending order and their
+softmax weights, a pair of (hw, k) arrays. Memory keys and values arrive as
+element-major rows, (n, c_k) and (n, c_v), so the readout gathers contiguous
+value rows.
 
 All operations are pure functions of their inputs and single precision.
 Reduction order is fixed (retained elements are always processed in
@@ -8,118 +14,49 @@ ascending index order), so results are reproducible run to run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core_types import (
-    ContractError,
-    KeyBlock,
-    QueryBlock,
-    SelectionBlock,
-    ShapeError,
-    ShrinkageVector,
-    ValueBlock,
-    _frozen_f32,
-)
-
-
-@dataclass(frozen=True)
-class SimilarityMatrix:
-    """n x hw matrix; entry (i, j) scores memory element i against query j.
-
-    Entries are <= 0: each is a negated, shrinkage-scaled, selection-weighted
-    sum of squared channel differences.
-    """
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "data", _frozen_f32(self.data, "SimilarityMatrix"))
-        if self.data.ndim != 2:
-            raise ShapeError(f"SimilarityMatrix must be 2-D, got {self.data.shape}")
-
-    @property
-    def n(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def hw(self) -> int:
-        return self.data.shape[1]
-
-
-@dataclass(frozen=True)
-class AffinityMatrix:
-    """Column-stochastic n x hw weights with at most k_used nonzeros per column."""
-
-    data: np.ndarray
-    k_used: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "data", _frozen_f32(self.data, "AffinityMatrix"))
-        if self.data.ndim != 2:
-            raise ShapeError(f"AffinityMatrix must be 2-D, got {self.data.shape}")
-
-    @property
-    def n(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def hw(self) -> int:
-        return self.data.shape[1]
-
-
-@dataclass(frozen=True)
-class UsageMass:
-    """Total affinity mass each memory element received in one read."""
-
-    per_element: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "per_element", _frozen_f32(self.per_element, "UsageMass")
-        )
-        if self.per_element.ndim != 1:
-            raise ShapeError(f"UsageMass must be 1-D, got {self.per_element.shape}")
+from .core_types import ContractError, QueryBlock, SelectionBlock, ShapeError
 
 
 def similarity(
-    k: KeyBlock, s: ShrinkageVector, q: QueryBlock, e: SelectionBlock
-) -> SimilarityMatrix:
+    keys: np.ndarray, shrinkage: np.ndarray, q: QueryBlock, e: SelectionBlock
+) -> np.ndarray:
     """Anisotropic squared-distance similarity between memory and query.
 
+    keys are (n, c_k) element rows and shrinkage (n,); the result is (hw, n),
+    entry (j, i) scoring memory element i against query j. Entries are <= 0.
     Computed via the expansion
         S = s_col * (-(k*k)^T e + 2 k^T (e*q) - ones (e*q*q)),
     which is elementwise products and matrix multiplies only. With unit
     shrinkage and selection this is exactly the negated squared L2 distance
     (up to rounding).
     """
-    if k.n != s.n:
-        raise ShapeError(f"keys have {k.n} elements but shrinkage has {s.n}")
+    keys = np.asarray(keys, dtype=np.float32)
+    shrinkage = np.asarray(shrinkage, dtype=np.float32)
+    n = keys.shape[0]
+    if shrinkage.shape != (n,):
+        raise ShapeError(f"keys have {n} elements but shrinkage has shape {shrinkage.shape}")
     if q.data.shape != e.data.shape:
         raise ShapeError(f"query {q.data.shape} and selection {e.data.shape} differ")
-    if k.c_k != q.c_k:
-        raise ShapeError(f"keys have {k.c_k} channels but query has {q.c_k}")
-    if k.n == 0:
-        return SimilarityMatrix(np.zeros((0, q.hw), dtype=np.float32))
+    if keys.shape[1] != q.c_k:
+        raise ShapeError(f"keys have {keys.shape[1]} channels but query has {q.c_k}")
+    if n == 0:
+        return np.zeros((q.hw, 0), dtype=np.float32)
 
-    kd, qd, ed = k.data, q.data, e.data
+    qd, ed = q.data, e.data
     eq = ed * qd
-    # single fused GEMM: stacking [k; k*k; 1] against [2 e*q; -e; -sum(e*q*q)]
+    # single fused GEMM: stacking [k, k*k, 1] against [2 e*q; -e; -sum(e*q*q)]
     # yields all three expansion terms in one pass with no large temporaries
-    lhs = np.concatenate(
-        [kd, kd * kd, np.ones((1, k.n), dtype=np.float32)]
-    )
-    rhs = np.concatenate(
-        [2.0 * eq, -ed, -np.sum(eq * qd, axis=0, keepdims=True)]
-    )
-    # computed transposed (hw, n) so the top-k filter reads contiguous rows
-    sim_t = rhs.T @ lhs
-    sim_t *= s.data[None, :]
+    lhs = np.concatenate([keys, keys * keys, np.ones((n, 1), dtype=np.float32)], axis=1)
+    rhs = np.concatenate([2.0 * eq, -ed, -np.sum(eq * qd, axis=0, keepdims=True)])
+    # (hw, n), so the top-k filter reads contiguous rows
+    sim = rhs.T @ lhs.T
+    sim *= shrinkage[None, :]
     # rounding in the expansion can leave +epsilon where the true value is 0
     # (coincident key and query); clamp to keep the sign guarantee exact
-    np.minimum(sim_t, 0.0, out=sim_t)
-    return SimilarityMatrix(sim_t.T)
+    np.minimum(sim, 0.0, out=sim)
+    return sim
 
 
 def _retained_indices(rows: np.ndarray, top_k: int) -> np.ndarray:
@@ -145,52 +82,56 @@ def _retained_indices(rows: np.ndarray, top_k: int) -> np.ndarray:
     return kept
 
 
-def affinity(sim: SimilarityMatrix, top_k: int | None) -> AffinityMatrix:
-    """Column softmax over the top_k most similar memory elements.
+def affinity(sim: np.ndarray, top_k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Softmax over the top_k most similar memory elements of each query.
 
-    Per column, the top_k largest similarities are retained (ties toward the
-    lower element index), the softmax is taken over the retained set, and all
-    other entries are exact 0.0. top_k=None, or top_k >= n, is a plain column
-    softmax. The per-column max is subtracted before exponentiation since
-    similarities are large-magnitude negatives. Retained elements are reduced
-    in ascending index order, so results are independent of partition order.
+    sim is (hw, n). Per query row, the k = min(top_k, n) largest similarities
+    are retained (ties toward the lower element index) and the softmax is
+    taken over them; every other element has weight 0. Returns the read: the
+    retained indices, ascending, and their weights, both (hw, k). The per-row
+    max is subtracted before exponentiation since similarities are
+    large-magnitude negatives.
     """
-    if top_k is not None and top_k < 1:
+    if top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
-    n, hw = sim.n, sim.hw
-    if n == 0:
+    sim = np.asarray(sim, dtype=np.float32)
+    if sim.shape[1] == 0:
         raise ContractError("cannot read from an empty combined memory")
-
-    data = sim.data
-    if top_k is None or top_k >= n:
-        shifted = data - data.max(axis=0, keepdims=True)
-        ex = np.exp(shifted)
-        out = ex / ex.sum(axis=0, keepdims=True)
-        return AffinityMatrix(out, k_used=n if top_k is None else top_k)
-
-    # work row-wise on the transpose: per-column selection over contiguous
-    # rows (free when the similarity was produced in transposed layout)
-    rows = np.ascontiguousarray(data.T)
-    kept = _retained_indices(rows, top_k)
-    vals = np.take_along_axis(rows, kept, axis=1)
-    vals = vals - vals.max(axis=1, keepdims=True)
+    kept = _retained_indices(sim, min(top_k, sim.shape[1]))
+    vals = np.take_along_axis(sim, kept, axis=1)
+    vals -= vals.max(axis=1, keepdims=True)
     ex = np.exp(vals)
-    weights = ex / ex.sum(axis=1, keepdims=True)
-    out_t = np.zeros((hw, n), dtype=np.float32)
-    np.put_along_axis(out_t, kept, weights, axis=1)
-    return AffinityMatrix(out_t.T, k_used=top_k)
+    return kept, ex / ex.sum(axis=1, keepdims=True)
 
 
-def readout(v: ValueBlock, w: AffinityMatrix) -> np.ndarray:
-    """Aggregate value columns through the affinity: F = v @ w.
+def readout(values: np.ndarray, read: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Aggregate value rows through a sparse read; returns (c_v, hw).
 
-    Each output column is a convex combination of value columns.
+    values are (n, c_v) element rows and read is (indices, weights) as
+    returned by `affinity`. Output column j is
+    sum_s weights[j, s] * values[indices[j, s]], summed in ascending index
+    order one retained slot at a time, so temporaries stay at hw x c_v. Each
+    output column is a convex combination of value rows.
     """
-    if v.n != w.n:
-        raise ShapeError(f"values have {v.n} elements but affinity has {w.n}")
-    return v.data @ w.data
+    values = np.asarray(values, dtype=np.float32)
+    indices, weights = read
+    if indices.shape != weights.shape:
+        raise ShapeError(f"indices {indices.shape} and weights {weights.shape} differ")
+    if indices.size and not 0 <= indices.min() <= indices.max() < values.shape[0]:
+        raise ShapeError(f"affinity retains elements outside the {values.shape[0]} value rows")
+    hw, k = indices.shape
+    out = np.zeros((hw, values.shape[1]), dtype=np.float32)
+    rows = np.empty_like(out)
+    for s in range(k):
+        # indices are checked above; "clip" lets take write into rows unbuffered
+        np.take(values, indices[:, s], axis=0, out=rows, mode="clip")
+        rows *= weights[:, s, None]
+        out += rows
+    return out.T
 
 
-def usage_mass(w: AffinityMatrix) -> UsageMass:
-    """Per-element affinity mass summed across query columns."""
-    return UsageMass(w.data.sum(axis=1))
+def usage_mass(read: tuple[np.ndarray, np.ndarray], n: int) -> np.ndarray:
+    """Per-element affinity mass of a read over n elements, summed across
+    query columns, float64 (n,)."""
+    indices, weights = read
+    return np.bincount(indices.ravel(), weights=weights.ravel(), minlength=n)

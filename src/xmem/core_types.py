@@ -1,14 +1,17 @@
 """Shared value types and range mappings used by every memory store.
 
-All feature data is stored column-major by memory element: one column per
-element, so appending a frame to a store is a contiguous block write and a
-read of a track's whole memory is a view of its column buffer. Engine arithmetic
-is single precision throughout; the double-precision path lives in
+Blocks carry feature data channel-major, one column per memory element, and
+validate it once, when they are constructed: finite entries and each block's
+range. The track store (:mod:`xmem.memory`) keeps element-major rows
+internally and hands blocks out as views of its buffer. Engine arithmetic is
+single precision throughout; the double-precision path lives in
 :mod:`xmem.oracle`.
 
-Blocks are immutable once constructed (backing arrays are marked read-only)
-and may be shared across threads freely. Empty blocks (zero elements) are
-legal everywhere.
+A block's array is read-only through the block, but that does not make the
+data immutable: a block over a view of a track store changes when the store
+next writes in place (`append_frame`, `commit`), and is valid only until then.
+A block built from the caller's own array does not freeze that array either.
+Empty blocks (zero elements) are legal everywhere.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ class StreamFormatError(XmemError):
         self.offset = offset
 
 
-def _frozen_f32(data, name: str, *, require_finite: bool = True) -> np.ndarray:
+def _frozen_f32(data, name: str) -> np.ndarray:
     """Coerce to a read-only float32 array without copying float32 input.
 
     When the input is already float32 the result is a read-only view, so the
@@ -59,7 +62,7 @@ def _frozen_f32(data, name: str, *, require_finite: bool = True) -> np.ndarray:
     arr = np.asarray(data, dtype=np.float32)
     if arr is data:
         arr = arr.view()
-    if require_finite and arr.size and not np.isfinite(arr).all():
+    if arr.size and not np.isfinite(arr).all():
         raise ValidationError(f"{name} contains non-finite entries")
     arr.setflags(write=False)
     return arr

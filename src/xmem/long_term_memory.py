@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .affinity import affinity, similarity
+from .affinity import affinity, readout, similarity
 from .core_types import (
     KeyBlock,
     QueryBlock,
@@ -108,14 +108,14 @@ def potentiate(
     candidate_shrinkage: ShrinkageVector,
     candidate_values: ValueBlock,
     prototype_indices: list[int],
-    top_k: int | None,
+    top_k: int,
 ) -> tuple[KeyBlock, ShrinkageVector, ValueBlock]:
     """Build prototype columns from the selected candidates.
 
     Prototype keys are exact copies of the selected candidate columns. Values
     and shrinkage are affinity-weighted averages over all candidates, with
     the prototypes acting as queries against the candidate set (unit
-    selection, the usual top-k filter).
+    selection, the usual sparse top-k read).
     """
     if len(set(prototype_indices)) != len(prototype_indices):
         raise ValueError("prototype indices must be unique")
@@ -132,15 +132,16 @@ def potentiate(
         raise ValueError("prototype index out of range")
 
     proto_key_data = candidate_keys.data[:, idx]
+    shrinkage = candidate_shrinkage.data
     sim = similarity(
-        candidate_keys,
-        candidate_shrinkage,
+        candidate_keys.data.T,
+        shrinkage,
         QueryBlock(proto_key_data),
         SelectionBlock(np.ones_like(proto_key_data)),
     )
-    weights = affinity(sim, top_k)
-    proto_values = candidate_values.data @ weights.data
-    proto_shrinkage = candidate_shrinkage.data @ weights.data
+    read = affinity(sim, top_k)
+    proto_values = readout(candidate_values.data.T, read)
+    proto_shrinkage = readout(shrinkage[:, None], read)[0]
     # convex combination of values >= 1 can round a hair below the bound
     np.maximum(proto_shrinkage, 1.0, out=proto_shrinkage)
     return (

@@ -1,13 +1,18 @@
-"""One column store per object track: long-term prototypes, then working frames.
+"""One element store per object track: long-term prototypes, then working frames.
 
-A track reads a single memory, so it keeps a single buffer: channel-major
-float32 keys (c_k, cap) and values (c_v, cap), float32 shrinkage (cap,) and
-float64 usage (cap,). Columns [0, lt) hold the long-term prototypes and
-columns [lt, n) the working-memory frames in insertion order, the immortal
-reference frame first. The capacity is the hard bound t_max*h*w + l_max, so
-the buffer is allocated once; only the unbounded comparison mode, which never
-consolidates, grows it by doubling. Reads take views of [0, n) and
-consolidation rewrites the columns in place.
+A track reads a single memory, so it keeps a single buffer: element-major
+float32 keys (cap, c_k) and values (cap, c_v), one row per memory element,
+float32 shrinkage (cap,) and float64 usage (cap,). Elements [0, lt) are the
+long-term prototypes and [lt, n) the working-memory frames in insertion
+order, the immortal reference frame first. The capacity is the hard bound
+t_max*h*w + l_max, so the buffer is allocated once; only the unbounded
+comparison mode, which never consolidates, grows it by doubling. Reads take
+views of rows [0, n) and consolidation rewrites the rows in place.
+
+This module alone knows the layout. Blocks go in and come out channel-major
+(one column per element, as everywhere else); only `read` hands out the raw
+element-major rows, for the read path. Contents are validated once, by the
+blocks passed to `append_frame` and `commit`, never again on a read.
 
 Single-writer: exactly one pipeline owns and mutates an instance.
 """
@@ -30,10 +35,13 @@ from .core_types import (
 )
 from .long_term_memory import ConsolidationReport
 
+# rows per copy when eviction compacts the surviving long-term elements
+_MOVE_CHUNK = 1024
+
 
 @dataclass(frozen=True)
 class Segment:
-    """One column range of a store: its long-term or its working memory."""
+    """One element range of a store: its long-term or its working memory."""
 
     columns: slice
     frame_count: int  # long-term memory holds prototypes, not frames: 0
@@ -47,7 +55,7 @@ class TrackMemory:
     """Working and long-term memory of one object track in one buffer.
 
     Working memory is bounded by t_max frames and shrinks to t_min on
-    consolidation; long-term memory never exceeds l_max columns, evicting the
+    consolidation; long-term memory never exceeds l_max elements, evicting the
     least-used first. unbounded=True lifts the frame cap (consolidation is
     then never called) and lets the buffer grow.
     """
@@ -68,8 +76,8 @@ class TrackMemory:
         self.l_max = l_max
         self.unbounded = unbounded
         cap = t_max * self.hw + l_max
-        self.keys = np.zeros((dims.c_k, cap), dtype=np.float32)
-        self.values = np.zeros((dims.c_v, cap), dtype=np.float32)
+        self.keys = np.zeros((cap, dims.c_k), dtype=np.float32)
+        self.values = np.zeros((cap, dims.c_v), dtype=np.float32)
         self.shrinkage = np.zeros(cap, dtype=np.float32)
         self.usage = np.zeros(cap, dtype=np.float64)
         self.inserted_at: list[int] = []
@@ -92,12 +100,27 @@ class TrackMemory:
     def working(self) -> Segment:
         return Segment(slice(self.lt, self.n), self.frame_count)
 
+    def read(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only views of the whole memory: keys (n, c_k), shrinkage (n,)
+        and values (n, c_v), element-major.
+
+        Nothing is copied or re-validated. The views are valid only until the
+        next append_frame or commit, which rewrite the buffer in place.
+        """
+        views = (self.keys[: self.n], self.shrinkage[: self.n], self.values[: self.n])
+        for view in views:
+            view.flags.writeable = False
+        return views
+
     def blocks(self, columns: slice) -> tuple[KeyBlock, ShrinkageVector, ValueBlock]:
-        """Read-only views of the given columns; nothing is copied."""
+        """Channel-major blocks over the given elements; nothing is copied.
+
+        Like `read`, they are valid only until the next append_frame or commit.
+        """
         return (
-            KeyBlock(self.keys[:, columns]),
+            KeyBlock(self.keys[columns].T),
             ShrinkageVector(self.shrinkage[columns]),
-            ValueBlock(self.values[:, columns]),
+            ValueBlock(self.values[columns].T),
         )
 
     def append_frame(
@@ -130,18 +153,18 @@ class TrackMemory:
             )
         if self.n + hw > self.capacity:
             self._grow()
-        self.n = self._put(self.n, keys.data, shrinkage.data, values.data, 0.0)
+        self.n = self._put(self.n, keys.data.T, shrinkage.data, values.data.T, 0.0)
         self.inserted_at.append(frame_idx)
 
     def add_usage(self, mass: np.ndarray) -> None:
-        """Add one read's affinity mass, one entry per column in [0, n)."""
+        """Add one read's affinity mass, one entry per element in [0, n)."""
         mass = np.asarray(mass)
         if mass.shape != (self.n,):
             raise ShapeError(f"usage mass has shape {mass.shape}, want ({self.n},)")
         self.usage[: self.n] += mass
 
     def normalized_usage(self, current_frame_idx: int) -> np.ndarray:
-        """Usage of each working column divided by its frames of residency
+        """Usage of each working element divided by its frames of residency
         (clamped to 1).
 
         A read opportunity is one processed frame, so residency is counted in
@@ -172,9 +195,9 @@ class TrackMemory:
     ) -> ConsolidationReport:
         """Replace the candidate frames by prototypes, in place.
 
-        The columns become [surviving long-term | prototypes | reference and
+        The elements become [surviving long-term | prototypes | reference and
         t_min - 1 newest frames]. When l_max would be exceeded, the least-used
-        long-term columns are evicted first (ties toward the lower index) and
+        long-term elements are evicted first (ties toward the lower index) and
         the survivors keep their order. New prototypes start at zero usage.
         """
         self._check_full()
@@ -185,21 +208,28 @@ class TrackMemory:
             raise ConfigError(f"committing {new} prototypes exceeds l_max={self.l_max}")
         hw = self.hw
         candidates = (self.t_max - self.t_min) * hw
-        # copied out now: the prototypes may land on these columns
+        # copied out now: the prototypes may land on these rows
         kept = np.r_[self.lt : self.lt + hw, self.lt + hw + candidates : self.n]
-        retained = (self.keys[:, kept], self.shrinkage[kept], self.values[:, kept], self.usage[kept])
+        retained = (self.keys[kept], self.shrinkage[kept], self.values[kept], self.usage[kept])
         evicted = max(0, self.lt + new - self.l_max)
         if evicted:
             order = np.argsort(self.usage[: self.lt], kind="stable")
-            # every column before the first evicted one is already in place
+            # every row before the first evicted one is already in place
             lo = int(order[:evicted].min())
             moved = np.sort(order[evicted:])[lo:]
-            self._put(
-                lo, self.keys[:, moved], self.shrinkage[moved],
-                self.values[:, moved], self.usage[moved],
-            )
+            # survivors only move down (moved[i] >= lo + i), so chunks copied
+            # in ascending order never overwrite a row still to be read, and
+            # the temporaries stay at one chunk instead of the whole store
+            for start in range(0, moved.size, _MOVE_CHUNK):
+                rows = moved[start : start + _MOVE_CHUNK]
+                self._put(
+                    lo + start, self.keys[rows], self.shrinkage[rows],
+                    self.values[rows], self.usage[rows],
+                )
             self.lt -= evicted
-        self.lt = self._put(self.lt, proto_keys.data, proto_shrinkage.data, proto_values.data, 0.0)
+        self.lt = self._put(
+            self.lt, proto_keys.data.T, proto_shrinkage.data, proto_values.data.T, 0.0
+        )
         self.n = self._put(self.lt, *retained)
         self.inserted_at = self.inserted_at[:1] + self.inserted_at[1 + self.t_max - self.t_min :]
         return ConsolidationReport(
@@ -213,11 +243,11 @@ class TrackMemory:
             )
 
     def _put(self, start: int, keys, shrinkage, values, usage) -> int:
-        """Write columns from `start` on; returns the column after the last."""
+        """Write element rows from `start` on; returns the row after the last."""
         stop = start + len(shrinkage)
-        self.keys[:, start:stop] = keys
+        self.keys[start:stop] = keys
         self.shrinkage[start:stop] = shrinkage
-        self.values[:, start:stop] = values
+        self.values[start:stop] = values
         self.usage[start:stop] = usage
         return stop
 
@@ -225,6 +255,6 @@ class TrackMemory:
         cap = 2 * self.capacity
         for name in ("keys", "values", "shrinkage", "usage"):
             old = getattr(self, name)
-            new = np.zeros(old.shape[:-1] + (cap,), dtype=old.dtype)
-            new[..., : self.n] = old[..., : self.n]
+            new = np.zeros((cap,) + old.shape[1:], dtype=old.dtype)
+            new[: self.n] = old[: self.n]
             setattr(self, name, new)

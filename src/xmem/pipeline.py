@@ -248,15 +248,15 @@ class Pipeline:
             query = QueryBlock(feats.raw_query)
             selection = map_selection(feats.raw_selection)
             shrinkage = map_shrinkage(feats.raw_shrinkage)
-            mem_keys, mem_shrinkage, mem_values = memory.blocks(slice(memory.n))
+            mem_keys, mem_shrinkage, mem_values = memory.read()
 
             t0 = time.perf_counter_ns()
             sim = similarity(mem_keys, mem_shrinkage, query, selection)
-            weights = affinity(sim, cfg.top_k)
-            feat = readout(mem_values, weights)
+            read = affinity(sim, cfg.top_k)
+            feat = readout(mem_values, read)
             read_ns += time.perf_counter_ns() - t0
             readouts.append(feat)
-            memory.add_usage(usage_mass(weights).per_element)
+            memory.add_usage(usage_mass(read, memory.n))
 
             track.sensory = gru_step(track.sensory, _grid(feats.sensory_input, dims), self.gru_weights)
             if cfg.deep_update_mode == "every_frame":

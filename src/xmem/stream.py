@@ -104,12 +104,12 @@ def iter_frames(path: str | Path) -> Iterator[list[ObjectFeatures]]:
     """Yield per-frame object feature lists, reading lazily."""
     header = read_header(path)
     hw = header.hw
-    sizes = [
-        ("raw_query", header.c_k, hw),
-        ("raw_shrinkage", 1, hw),
-        ("raw_selection", header.c_k, hw),
-        ("values", header.c_v, hw),
-        ("sensory_input", header.c_in, hw),
+    shapes = [
+        ("raw_query", (header.c_k, hw)),
+        ("raw_shrinkage", (hw,)),
+        ("raw_selection", (header.c_k, hw)),
+        ("values", (header.c_v, hw)),
+        ("sensory_input", (header.c_in, hw)),
     ]
     with open(path, "rb") as f:
         f.seek(_HEADER.size)
@@ -119,15 +119,11 @@ def iter_frames(path: str | Path) -> Iterator[list[ObjectFeatures]]:
                 blob = f.read(header.bytes_per_object)
                 fields = {}
                 offset = 0
-                for name, rows, cols in sizes:
-                    count = rows * cols
+                for name, shape in shapes:
+                    count = int(np.prod(shape))
                     arr = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
-                    fields[name] = arr.reshape(rows, cols) if rows > 1 else arr.copy()
+                    fields[name] = arr.reshape(shape).copy()
                     offset += 4 * count
-                fields["raw_query"] = fields["raw_query"].copy()
-                fields["raw_selection"] = fields["raw_selection"].copy()
-                fields["values"] = fields["values"].copy()
-                fields["sensory_input"] = fields["sensory_input"].copy()
                 objects.append(ObjectFeatures(**fields))
             yield objects
 
@@ -218,8 +214,8 @@ def write_lt_snapshot(path: str | Path, tracks) -> None:
         for track in tracks:
             memory, lt = track.memory, track.long_term.columns
             f.write(struct.pack("<I", memory.lt))
-            for arr in (memory.keys[:, lt], memory.shrinkage[lt], memory.values[:, lt]):
-                f.write(np.asarray(arr, dtype="<f4").tobytes())
+            for block in memory.blocks(lt):
+                f.write(np.asarray(block.data, dtype="<f4").tobytes())
             f.write(np.asarray(memory.usage[lt], dtype="<f8").tobytes())
 
 

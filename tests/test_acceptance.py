@@ -31,7 +31,6 @@ from xmem import (
     similarity,
     soft_aggregate,
 )
-from xmem.affinity import SimilarityMatrix
 from xmem.harness import run_stream
 from xmem.oracle import format_event_log, oracle_bookkeeping, oracle_similarity
 from xmem.stream import StreamHeader, synthetic_frames
@@ -66,9 +65,9 @@ def test_criterion_01_vectorized_similarity_matches_triple_loop():
         q = rng.uniform(-1, 1, (c_k, hw)).astype(np.float32)
         e = rng.uniform(0, 1, (c_k, hw)).astype(np.float32)
         s = rng.uniform(1, 10, n).astype(np.float32)
-        eng = similarity(KeyBlock(k), ShrinkageVector(s), QueryBlock(q), SelectionBlock(e))
+        eng = similarity(k.T, s, QueryBlock(q), SelectionBlock(e))
         ref = oracle_similarity(k, s, q, e)
-        worst = max(worst, float(np.abs(eng.data - ref).max()))
+        worst = max(worst, float(np.abs(eng.T - ref).max()))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-4 and elapsed < 10.0
     _report(1, ok, "vectorized similarity vs triple-loop oracle",
@@ -87,14 +86,14 @@ def test_criterion_02_unit_terms_reduce_to_squared_distance():
         k = rng.uniform(-1, 1, (c_k, n)).astype(np.float32)
         q = rng.uniform(-1, 1, (c_k, hw)).astype(np.float32)
         eng = similarity(
-            KeyBlock(k),
-            ShrinkageVector(np.ones(n, dtype=np.float32)),
+            k.T,
+            np.ones(n, dtype=np.float32),
             QueryBlock(q),
             SelectionBlock(np.ones((c_k, hw), dtype=np.float32)),
         )
         k64, q64 = k.astype(np.float64), q.astype(np.float64)
         dist = -(((k64[:, :, None] - q64[:, None, :]) ** 2).sum(axis=0))
-        worst = max(worst, float(np.abs(eng.data - dist).max()))
+        worst = max(worst, float(np.abs(eng.T - dist).max()))
     ok = worst <= 1e-5
     _report(2, ok, "unit shrinkage/selection degeneracy",
             f"max abs deviation from -L2^2 is {worst:.2e} over 100 instances")
@@ -289,8 +288,11 @@ def test_criterion_08_affinity_column_invariants():
         n = int(rng.integers(1, 200))
         hw = int(rng.integers(1, 64))
         top_k = int(rng.integers(1, 40))
-        sim = SimilarityMatrix(-rng.uniform(0, 1000, (n, hw)).astype(np.float32))
-        w = affinity(sim, top_k).data
+        sim = -rng.uniform(0, 1000, (n, hw)).astype(np.float32)
+        kept, weights = affinity(sim.T, top_k)
+        # the sparse read densified to n x hw
+        w = np.zeros((n, hw), dtype=np.float32)
+        np.put_along_axis(w.T, kept, weights, axis=1)
         sums = w.sum(axis=0)
         failures += int((np.abs(sums - 1.0) > 1e-5).sum())
         failures += int((w < 0).any())

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -6,18 +8,14 @@ from hypothesis import strategies as st
 
 from xmem import (
     ContractError,
-    KeyBlock,
     QueryBlock,
     SelectionBlock,
     ShapeError,
-    ShrinkageVector,
-    ValueBlock,
     affinity,
     readout,
     similarity,
     usage_mass,
 )
-from xmem.affinity import AffinityMatrix, SimilarityMatrix
 from xmem.oracle import oracle_affinity, oracle_readout, oracle_similarity
 
 
@@ -29,23 +27,32 @@ def _random_instance(rng, c_k, n, hw):
     return k, s, q, e
 
 
+def _scores(rng, low, high, n, hw):
+    """Random (hw, n) similarities, drawn as an n x hw matrix."""
+    return -rng.uniform(low, high, (n, hw)).astype(np.float32).T
+
+
+def _dense(read, n):
+    """A sparse read as the dense n x hw affinity the oracle returns."""
+    kept, weights = read
+    out = np.zeros((n, kept.shape[0]), dtype=weights.dtype)
+    np.put_along_axis(out.T, kept, weights, axis=1)
+    return out
+
+
 def test_similarity_hand_values():
-    out = similarity(
-        KeyBlock([[2.0]]), ShrinkageVector([1.0]), QueryBlock([[0.0]]), SelectionBlock([[1.0]])
-    )
-    npt.assert_array_equal(out.data, [[-4.0]])
-    scaled = similarity(
-        KeyBlock([[2.0]]), ShrinkageVector([3.0]), QueryBlock([[0.0]]), SelectionBlock([[1.0]])
-    )
-    npt.assert_array_equal(scaled.data, [[-12.0]])
+    out = similarity([[2.0]], [1.0], QueryBlock([[0.0]]), SelectionBlock([[1.0]]))
+    npt.assert_array_equal(out, [[-4.0]])
+    scaled = similarity([[2.0]], [3.0], QueryBlock([[0.0]]), SelectionBlock([[1.0]]))
+    npt.assert_array_equal(scaled, [[-12.0]])
 
 
 def test_similarity_matches_triple_loop_oracle():
     rng = np.random.default_rng(42)
     k, s, q, e = _random_instance(rng, c_k=8, n=5, hw=7)
-    eng = similarity(KeyBlock(k), ShrinkageVector(s), QueryBlock(q), SelectionBlock(e))
+    eng = similarity(k.T, s, QueryBlock(q), SelectionBlock(e))
     ref = oracle_similarity(k, s, q, e)
-    npt.assert_allclose(eng.data, ref, atol=1e-4)
+    npt.assert_allclose(eng.T, ref, atol=1e-4)
 
 
 def test_similarity_unit_terms_is_negated_squared_distance():
@@ -53,14 +60,14 @@ def test_similarity_unit_terms_is_negated_squared_distance():
     k = rng.uniform(-1, 1, (6, 10)).astype(np.float32)
     q = rng.uniform(-1, 1, (6, 8)).astype(np.float32)
     eng = similarity(
-        KeyBlock(k),
-        ShrinkageVector(np.ones(10, dtype=np.float32)),
+        k.T,
+        np.ones(10, dtype=np.float32),
         QueryBlock(q),
         SelectionBlock(np.ones((6, 8), dtype=np.float32)),
     )
     d = k.astype(np.float64)
     dist = -(((d[:, :, None] - q.astype(np.float64)[:, None, :]) ** 2).sum(axis=0))
-    npt.assert_allclose(eng.data, dist, atol=1e-5)
+    npt.assert_allclose(eng.T, dist, atol=1e-5)
 
 
 def test_similarity_entries_never_positive():
@@ -68,68 +75,75 @@ def test_similarity_entries_never_positive():
     k, s, q, e = _random_instance(rng, c_k=4, n=20, hw=15)
     # coincident key and query provoke the cancellation worst case
     q[:, 0] = k[:, 3]
-    out = similarity(KeyBlock(k), ShrinkageVector(s), QueryBlock(q), SelectionBlock(e))
-    assert out.data.max() <= 0.0
+    out = similarity(k.T, s, QueryBlock(q), SelectionBlock(e))
+    assert out.max() <= 0.0
 
 
 def test_similarity_empty_memory_gives_empty_matrix():
     out = similarity(
-        KeyBlock(np.zeros((3, 0))),
-        ShrinkageVector(np.zeros(0)),
+        np.zeros((0, 3)),
+        np.zeros(0),
         QueryBlock(np.zeros((3, 4))),
         SelectionBlock(np.zeros((3, 4))),
     )
-    assert out.data.shape == (0, 4)
+    assert out.shape == (4, 0)
 
 
 def test_similarity_shape_mismatch_raises():
     with pytest.raises(ShapeError):
         similarity(
-            KeyBlock(np.zeros((3, 2))),
-            ShrinkageVector(np.ones(5)),
+            np.zeros((2, 3)),
+            np.ones(5),
             QueryBlock(np.zeros((3, 4))),
             SelectionBlock(np.zeros((3, 4))),
         )
 
 
 def test_affinity_singleton_column():
-    out = affinity(SimilarityMatrix([[-100.0]]), top_k=5)
-    npt.assert_array_equal(out.data, [[1.0]])
+    kept, weights = affinity(np.array([[-100.0]]), top_k=5)
+    npt.assert_array_equal(kept, [[0]])
+    npt.assert_array_equal(weights, [[1.0]])
 
 
 def test_affinity_top2_of_three():
-    out = affinity(SimilarityMatrix(np.array([[-3.0], [-2.0], [-1.0]])), top_k=2)
+    out = affinity(np.array([[-3.0, -2.0, -1.0]]), top_k=2)
     # softmax over the retained pair {-2, -1}: [1/(1+e), e/(1+e)]
+    npt.assert_array_equal(out[0], [[1, 2]])
+    dense = _dense(out, 3)
     npt.assert_allclose(
-        out.data[:, 0], [0.0, 0.2689414213699951, 0.7310585786300049], atol=1e-6
+        dense[:, 0], [0.0, 0.2689414213699951, 0.7310585786300049], atol=1e-6
     )
-    assert out.data[0, 0] == 0.0
+    assert dense[0, 0] == 0.0
 
 
 def test_affinity_large_top_k_is_plain_softmax():
     rng = np.random.default_rng(12)
-    sim = SimilarityMatrix(-rng.uniform(0, 50, (6, 4)).astype(np.float32))
-    filtered = affinity(sim, top_k=6)
-    plain = affinity(sim, top_k=None)
-    npt.assert_array_equal(filtered.data, plain.data)
+    sim = _scores(rng, 0, 50, 6, 4)
+    kept, weights = affinity(sim, top_k=6)
+    # top_k >= n keeps every element: the same path with k = n
+    npt.assert_array_equal(kept, np.broadcast_to(np.arange(6), (4, 6)))
+    larger_kept, larger_weights = affinity(sim, top_k=50)
+    npt.assert_array_equal(larger_kept, kept)
+    npt.assert_array_equal(larger_weights, weights)
+    npt.assert_allclose(_dense((kept, weights), 6), oracle_affinity(sim.T, None), atol=1e-6)
 
 
 def test_affinity_matches_full_sort_oracle():
     rng = np.random.default_rng(13)
     for _ in range(25):
         n, hw, k = rng.integers(1, 40), rng.integers(1, 20), int(rng.integers(1, 12))
-        sim = SimilarityMatrix(-rng.uniform(0, 100, (n, hw)).astype(np.float32))
-        eng = affinity(sim, k)
-        ref = oracle_affinity(sim.data, k)
-        npt.assert_allclose(eng.data, ref, atol=1e-5)
+        sim = _scores(rng, 0, 100, n, hw)
+        eng = _dense(affinity(sim, k), n)
+        ref = oracle_affinity(sim.T, k)
+        npt.assert_allclose(eng, ref, atol=1e-5)
         # filtered-out entries are exactly zero in both
-        npt.assert_array_equal(eng.data == 0.0, ref == 0.0)
+        npt.assert_array_equal(eng == 0.0, ref == 0.0)
 
 
 def test_affinity_tie_break_keeps_lower_indices():
-    sim = SimilarityMatrix(np.full((4, 1), -5.0, dtype=np.float32))
-    out = affinity(sim, top_k=2)
-    npt.assert_allclose(out.data[:, 0], [0.5, 0.5, 0.0, 0.0], atol=1e-7)
+    kept, weights = affinity(np.full((1, 4), -5.0, dtype=np.float32), top_k=2)
+    npt.assert_array_equal(kept, [[0, 1]])
+    npt.assert_allclose(weights, [[0.5, 0.5]], atol=1e-7)
 
 
 def test_affinity_with_heavy_ties_matches_oracle():
@@ -137,72 +151,79 @@ def test_affinity_with_heavy_ties_matches_oracle():
     for _ in range(30):
         n, hw, k = int(rng.integers(2, 40)), int(rng.integers(1, 15)), int(rng.integers(1, 10))
         # few distinct values force ties at the retention boundary
-        sim = SimilarityMatrix(
-            -rng.integers(0, 4, (n, hw)).astype(np.float32)
-        )
-        eng = affinity(sim, k)
-        ref = oracle_affinity(sim.data, k)
-        npt.assert_allclose(eng.data, ref, atol=1e-6)
-        npt.assert_array_equal(eng.data == 0.0, ref == 0.0)
+        sim = -rng.integers(0, 4, (n, hw)).astype(np.float32).T
+        eng = _dense(affinity(sim, k), n)
+        ref = oracle_affinity(sim.T, k)
+        npt.assert_allclose(eng, ref, atol=1e-6)
+        npt.assert_array_equal(eng == 0.0, ref == 0.0)
 
 
 def test_affinity_empty_memory_rejected():
     with pytest.raises(ContractError):
-        affinity(SimilarityMatrix(np.zeros((0, 3))), top_k=2)
+        affinity(np.zeros((3, 0)), top_k=2)
 
 
 def test_affinity_underflow_guarded():
     # large-magnitude negatives would underflow a naive softmax
-    sim = SimilarityMatrix(np.array([[-1e30], [-1e30]], dtype=np.float32))
-    out = affinity(sim, top_k=2)
-    npt.assert_allclose(out.data[:, 0], [0.5, 0.5], atol=1e-7)
+    _, weights = affinity(np.array([[-1e30, -1e30]], dtype=np.float32), top_k=2)
+    npt.assert_allclose(weights[0], [0.5, 0.5], atol=1e-7)
 
 
 def test_readout_weighted_average():
-    w = AffinityMatrix(np.array([[0.25], [0.75]], dtype=np.float32), k_used=2)
-    out = readout(ValueBlock([[1.0, 3.0]]), w)
+    read = (np.array([[0, 1]]), np.array([[0.25, 0.75]], dtype=np.float32))
+    out = readout([[1.0], [3.0]], read)
     npt.assert_allclose(out, [[2.5]], atol=1e-7)
 
 
 def test_readout_one_hot_selects_columns():
-    v = ValueBlock(np.arange(12, dtype=np.float32).reshape(3, 4))
-    w = np.zeros((4, 4), dtype=np.float32)
-    for j, i in enumerate([2, 0, 3, 1]):
-        w[i, j] = 1.0
-    out = readout(v, AffinityMatrix(w, k_used=1))
-    npt.assert_array_equal(out, v.data[:, [2, 0, 3, 1]])
+    v = np.arange(12, dtype=np.float32).reshape(3, 4)
+    picks = np.array([[2], [0], [3], [1]])
+    out = readout(v.T, (picks, np.ones((4, 1), dtype=np.float32)))
+    npt.assert_array_equal(out, v[:, [2, 0, 3, 1]])
 
 
 def test_readout_matches_scalar_oracle():
     rng = np.random.default_rng(14)
     v = rng.uniform(-1, 1, (5, 9)).astype(np.float32)
-    sim = SimilarityMatrix(-rng.uniform(0, 10, (9, 6)).astype(np.float32))
-    w = affinity(sim, 4)
+    read = affinity(_scores(rng, 0, 10, 9, 6), 4)
     npt.assert_allclose(
-        readout(ValueBlock(v), w), oracle_readout(v, w.data), atol=1e-4
+        readout(v.T, read), oracle_readout(v, _dense(read, 9)), atol=1e-4
     )
 
 
 def test_readout_shape_mismatch_raises():
+    # three value rows, but the read retains element 3
     with pytest.raises(ShapeError):
-        readout(
-            ValueBlock(np.zeros((2, 3))),
-            AffinityMatrix(np.ones((4, 1), dtype=np.float32), k_used=4),
-        )
+        readout(np.zeros((3, 2)), (np.array([[3]]), np.ones((1, 1), dtype=np.float32)))
+    with pytest.raises(ShapeError):
+        readout(np.zeros((3, 2)), (np.array([[0, 1]]), np.ones((1, 1), dtype=np.float32)))
+
+
+def test_readout_temporaries_stay_at_hw_by_cv():
+    rng = np.random.default_rng(18)
+    n, hw, c_v, k = 2000, 256, 64, 30
+    values = rng.uniform(-1, 1, (n, c_v)).astype(np.float32)
+    read = affinity(_scores(rng, 0, 10, n, hw), k)
+    tracemalloc.start()
+    readout(values, read)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    # output plus one gathered slot; a batched gather would need k times that
+    assert peak <= 3 * hw * c_v * 4
 
 
 def test_usage_mass_single_column():
-    w = AffinityMatrix(np.array([[0.3], [0.7]], dtype=np.float32), k_used=2)
-    npt.assert_allclose(usage_mass(w).per_element, [0.3, 0.7], atol=1e-7)
+    read = (np.array([[0, 1]]), np.array([[0.3, 0.7]], dtype=np.float32))
+    mass = usage_mass(read, 2)
+    npt.assert_allclose(mass, [0.3, 0.7], atol=1e-7)
 
 
 def test_usage_mass_totals_and_exclusion():
     rng = np.random.default_rng(15)
-    sim = SimilarityMatrix(-rng.uniform(0, 10, (30, 12)).astype(np.float32))
-    w = affinity(sim, 5)
-    mass = usage_mass(w).per_element
+    read = affinity(_scores(rng, 0, 10, 30, 12), 5)
+    mass = usage_mass(read, 30)
     assert abs(mass.sum() - 12.0) < 1e-4
-    excluded = w.data.sum(axis=1) == 0.0
+    excluded = _dense(read, 30).sum(axis=1) == 0.0
     assert (mass[excluded] == 0.0).all()
 
 
@@ -210,11 +231,10 @@ def test_usage_mass_totals_and_exclusion():
 @given(st.integers(0, 2**31 - 1), st.integers(1, 48), st.integers(1, 16), st.integers(1, 40))
 def test_affinity_invariants_hold(seed, n, hw, top_k):
     rng = np.random.default_rng(seed)
-    sim = SimilarityMatrix(-rng.uniform(0, 100, (n, hw)).astype(np.float32))
-    out = affinity(sim, top_k)
-    assert out.data.min() >= 0.0
-    npt.assert_allclose(out.data.sum(axis=0), 1.0, atol=1e-5)
-    assert ((out.data > 0).sum(axis=0) <= top_k).all()
+    out = _dense(affinity(_scores(rng, 0, 100, n, hw), top_k), n)
+    assert out.min() >= 0.0
+    npt.assert_allclose(out.sum(axis=0), 1.0, atol=1e-5)
+    assert ((out > 0).sum(axis=0) <= top_k).all()
 
 
 @settings(max_examples=40, deadline=None)
@@ -223,8 +243,7 @@ def test_readout_stays_in_per_channel_hull(seed):
     rng = np.random.default_rng(seed)
     n, hw = int(rng.integers(1, 30)), int(rng.integers(1, 12))
     v = rng.uniform(-5, 5, (4, n)).astype(np.float32)
-    sim = SimilarityMatrix(-rng.uniform(0, 20, (n, hw)).astype(np.float32))
-    out = readout(ValueBlock(v), affinity(sim, 6))
+    out = readout(v.T, affinity(_scores(rng, 0, 20, n, hw), 6))
     lo = v.min(axis=1, keepdims=True) - 1e-5
     hi = v.max(axis=1, keepdims=True) + 1e-5
     assert (out >= lo).all() and (out <= hi).all()
@@ -235,12 +254,8 @@ def test_increasing_shrinkage_never_gains_mass():
     for _ in range(20):
         k, s, q, e = _random_instance(rng, c_k=5, n=12, hw=8)
         i = int(rng.integers(12))
-        mass = usage_mass(
-            affinity(similarity(KeyBlock(k), ShrinkageVector(s), QueryBlock(q), SelectionBlock(e)), 4)
-        ).per_element
+        mass = usage_mass(affinity(similarity(k.T, s, QueryBlock(q), SelectionBlock(e)), 4), 12)
         s2 = s.copy()
         s2[i] *= 3.0
-        mass2 = usage_mass(
-            affinity(similarity(KeyBlock(k), ShrinkageVector(s2), QueryBlock(q), SelectionBlock(e)), 4)
-        ).per_element
+        mass2 = usage_mass(affinity(similarity(k.T, s2, QueryBlock(q), SelectionBlock(e)), 4), 12)
         assert mass2[i] <= mass[i] + 1e-5

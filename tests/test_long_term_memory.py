@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import xmem.memory
 from xmem import (
     ConfigError,
     FeatureDims,
@@ -105,7 +106,8 @@ def test_potentiate_identical_keys_average_values():
     keys = KeyBlock(np.array([[0.5], [0.5]], dtype=np.float32)[:, [0, 0]])
     shrink = ShrinkageVector(np.array([2.0, 2.0], dtype=np.float32))
     values = ValueBlock(np.array([[1.0, 3.0], [10.0, 20.0]], dtype=np.float32))
-    pk, ps, pv = potentiate(keys, shrink, values, [0], top_k=None)
+    # top_k >= n: every candidate is retained
+    pk, ps, pv = potentiate(keys, shrink, values, [0], top_k=2)
     npt.assert_allclose(pv.data[:, 0], [2.0, 15.0], atol=1e-6)
     npt.assert_allclose(ps.data, [2.0], atol=1e-6)
 
@@ -188,7 +190,7 @@ def _store(l_max=3, usages=()):
 
 
 def _lt_keys(memory):
-    return memory.keys[:, memory.long_term.columns]
+    return memory.blocks(memory.long_term.columns)[0].data
 
 
 def test_commit_evicts_least_used():
@@ -234,6 +236,14 @@ def test_commit_survivors_match_sort_truncate():
     npt.assert_array_equal(_lt_keys(memory)[:, : len(expected_keep)], tagged[:, expected_keep])
     npt.assert_array_equal(memory.usage[: len(expected_keep)], usage[expected_keep])
     npt.assert_array_equal(memory.usage[len(expected_keep) : memory.lt], 0.0)
+
+
+@pytest.mark.parametrize("chunk", [1, 4])
+def test_commit_compaction_in_chunks_matches_sort_truncate(chunk, monkeypatch):
+    # eviction compacts the survivors one chunk of rows at a time; chunks
+    # this small take several steps
+    monkeypatch.setattr(xmem.memory, "_MOVE_CHUNK", chunk)
+    test_commit_survivors_match_sort_truncate()
 
 
 def test_accumulate_usage_totals():

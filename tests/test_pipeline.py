@@ -13,7 +13,13 @@ from xmem import (
     soft_aggregate,
 )
 from xmem.harness import run_stream
-from xmem.oracle import format_event_log, oracle_bookkeeping
+from xmem.oracle import (
+    format_event_log,
+    oracle_affinity,
+    oracle_bookkeeping,
+    oracle_readout,
+    oracle_similarity,
+)
 from xmem.stream import StreamHeader, synthetic_frames
 
 DIMS = FeatureDims(h=2, w=3, c_k=4, c_v=5, c_h=4)
@@ -172,7 +178,7 @@ def test_reads_are_views_of_the_store(monkeypatch):
     real = pl.similarity
 
     def spy(keys, shrinkage, query, selection):
-        read_keys.append(keys.data)
+        read_keys.append(keys)
         return real(keys, shrinkage, query, selection)
 
     monkeypatch.setattr(pl, "similarity", spy)
@@ -184,6 +190,35 @@ def test_reads_are_views_of_the_store(monkeypatch):
     buffer = p.tracks[0].memory.keys
     assert len(read_keys) == 2
     assert all(np.shares_memory(keys, buffer) for keys in read_keys)
+
+
+def test_step_readout_matches_oracle_after_consolidations():
+    # 8x8 grid; every frame inserts, so every frame after the third
+    # consolidates 64 candidates into 8 prototypes, and l_max=12 forces an
+    # eviction from the second consolidation on
+    dims = FeatureDims(h=8, w=8, c_k=4, c_v=6, c_h=2)
+    cfg = PipelineConfig(
+        dims=dims, r=1, t_min=2, t_max=3, p=8, top_k=30, l_max=12,
+        sensory_input_channels=2,
+    )
+    frames = _frames(7, dims=dims, c_in=2, seed=5)
+    p = Pipeline(cfg, next(frames))
+    memory = p.tracks[0].memory
+    consolidations = evictions = checked = 0
+    for idx, feats in enumerate(frames, start=1):
+        # the step reads the memory as it stands before this frame's insertion
+        keys, shrinkage, values = (b.data.copy() for b in memory.blocks(slice(memory.n)))
+        out = p.step(feats, idx)[0]
+        if consolidations >= 2 and evictions >= 1:
+            selection = 1.0 / (1.0 + np.exp(-feats[0].raw_selection.astype(np.float64)))
+            sim = oracle_similarity(keys, shrinkage, feats[0].raw_query, selection)
+            ref = oracle_readout(values, oracle_affinity(sim, cfg.top_k))
+            npt.assert_allclose(out.readout, ref, atol=1e-4)
+            checked += 1
+        consolidations += out.events.consolidated
+        evictions += out.events.evicted_count > 0
+    assert checked == 3
+    assert memory.lt == cfg.l_max
 
 
 def test_unbounded_mode_grows_linearly():
@@ -206,7 +241,7 @@ def test_deterministic_replay_is_bitwise():
             last = p.step(feats, idx)
         return (
             last[0].readout.tobytes(),
-            p.tracks[0].memory.keys[:, p.tracks[0].long_term.columns].tobytes(),
+            p.tracks[0].memory.blocks(p.tracks[0].long_term.columns)[0].data.tobytes(),
             p.tracks[0].sensory.h.tobytes(),
         )
 

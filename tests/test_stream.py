@@ -1,11 +1,22 @@
+import struct
 from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from xmem import FeatureDims, PipelineConfig, StreamFormatError
+from xmem import (
+    FeatureDims,
+    KeyBlock,
+    PipelineConfig,
+    SensoryState,
+    ShrinkageVector,
+    StreamFormatError,
+    TrackMemory,
+    ValueBlock,
+)
 from xmem.harness import run_stream
+from xmem.pipeline import ObjectTrack
 from xmem.stream import (
     StreamHeader,
     generate_synthetic,
@@ -135,11 +146,57 @@ def test_snapshot_roundtrip(tmp_path):
     for track, snap in zip(pipeline.tracks, snaps):
         memory, lt = track.memory, track.long_term.columns
         assert track.long_term.element_count > 0
-        npt.assert_array_equal(snap.keys, memory.keys[:, lt])
-        npt.assert_array_equal(snap.shrinkage, memory.shrinkage[lt])
-        npt.assert_array_equal(snap.values, memory.values[:, lt])
+        keys, shrinkage, values = memory.blocks(lt)
+        npt.assert_array_equal(snap.keys, keys.data)
+        npt.assert_array_equal(snap.shrinkage, shrinkage.data)
+        npt.assert_array_equal(snap.values, values.data)
         assert snap.usage.dtype == np.float64
         npt.assert_array_equal(snap.usage, memory.usage[lt])
+
+
+def test_snapshot_byte_layout_is_channel_major(tmp_path):
+    # one track whose long-term memory holds three known prototypes
+    dims = FeatureDims(h=1, w=4, c_k=2, c_v=3, c_h=2)
+    memory = TrackMemory(dims, t_min=2, t_max=3, l_max=8)
+    rng = np.random.default_rng(0)
+    for frame in range(3):
+        memory.append_frame(
+            KeyBlock(rng.normal(size=(2, 4)).astype(np.float32)),
+            ShrinkageVector(np.full(4, 2.0, dtype=np.float32)),
+            ValueBlock(rng.normal(size=(3, 4)).astype(np.float32)),
+            frame_idx=frame,
+        )
+    memory.candidates(2)
+    keys = [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
+    shrinkage = [1.5, 2.5, 3.5]
+    values = [[10.0, 11.0, 12.0], [13.0, 14.0, 15.0], [16.0, 17.0, 18.0]]
+    memory.commit(KeyBlock(keys), ShrinkageVector(shrinkage), ValueBlock(values))
+    usage = [0.1, 0.2, 0.3]  # not float32-representable: must stay float64
+    memory.add_usage(np.concatenate([usage, np.zeros(memory.working.element_count)]))
+    track = ObjectTrack(0, memory, SensoryState.zeros(2, 1, 4))
+    path = tmp_path / "lt.xmlt"
+    write_lt_snapshot(path, [track])
+
+    expected = b"XMLT" + struct.pack("<4I", 2, 1, 2, 3) + struct.pack("<I", 3)
+    expected += struct.pack("<6f", 1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
+    expected += struct.pack("<3f", 1.5, 2.5, 3.5)
+    expected += struct.pack("<9f", *range(10, 19))
+    expected += struct.pack("<3d", 0.1, 0.2, 0.3)
+    assert path.read_bytes() == expected
+
+
+def test_single_channel_fields_keep_their_rows(tmp_path):
+    header = StreamHeader(c_k=1, c_v=1, c_in=1, h=2, w=3, frame_count=3, object_count=1)
+    path = tmp_path / "thin.xmfs"
+    generate_synthetic(path, seed=4, header=header, drift=0.1)
+    for feats in next(iter_frames(path)):
+        assert feats.raw_query.shape == (1, 6)
+        assert feats.raw_shrinkage.shape == (6,)
+        assert feats.values.shape == (1, 6)
+        assert feats.sensory_input.shape == (1, 6)
+    cfg = PipelineConfig(dims=header.dims(c_h=1), r=1, t_min=2, t_max=3, p=2, l_max=4)
+    _, rows, _ = run_stream(iter_frames(path), cfg)
+    assert len(rows) == 3
 
 
 def test_snapshot_version_1_rejected(tmp_path):

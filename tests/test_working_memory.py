@@ -35,6 +35,11 @@ def _filled(t_min, t_max, n_frames, r=10, l_max=50, unbounded=False):
     return memory
 
 
+def _keys(memory, columns):
+    """The stored keys of the given elements, c_k x m."""
+    return memory.blocks(columns)[0].data
+
+
 def _consolidate(memory, frame_idx, picks=()):
     """Commit the picked candidates unchanged; returns the candidate keys."""
     keys, shrinkage, values, _ = memory.candidates(frame_idx)
@@ -53,7 +58,7 @@ def test_first_append_is_reference():
     assert memory.frame_count == 1
     assert memory.inserted_at == [0]
     assert memory.working.columns == slice(0, DIMS.hw())
-    npt.assert_array_equal(memory.keys[:, : DIMS.hw()], _frame(0)[0].data)
+    npt.assert_array_equal(_keys(memory, slice(DIMS.hw())), _frame(0)[0].data)
     npt.assert_array_equal(memory.usage[: memory.n], 0.0)
 
 
@@ -85,10 +90,8 @@ def test_uncapped_store_grows_freely():
     hw = DIMS.hw()
     for i in range(25):
         cols = slice(i * hw, (i + 1) * hw)
-        keys, shrinkage, values = _frame(i)
-        npt.assert_array_equal(memory.keys[:, cols], keys.data)
-        npt.assert_array_equal(memory.shrinkage[cols], shrinkage.data)
-        npt.assert_array_equal(memory.values[:, cols], values.data)
+        for stored, appended in zip(memory.blocks(cols), _frame(i)):
+            npt.assert_array_equal(stored.data, appended.data)
     total = sum(np.pad(m, (0, memory.n - m.size)) for m in mass)
     npt.assert_allclose(memory.usage[: memory.n], total, atol=1e-9)
 
@@ -156,7 +159,7 @@ def test_split_keeps_reference_and_newest():
     inserted = list(memory.inserted_at)
     hw = DIMS.hw()
     kept_keys = np.concatenate(
-        [memory.keys[:, :hw], memory.keys[:, 6 * hw : 10 * hw]], axis=1
+        [_keys(memory, slice(hw)), _keys(memory, slice(6 * hw, 10 * hw))], axis=1
     )
     assert memory.candidates(95)[0].n == 5 * hw
     _consolidate(memory, 95, picks=[0, 3])
@@ -164,7 +167,7 @@ def test_split_keeps_reference_and_newest():
     assert memory.frame_count == 5
     # the reference frame leads the working columns, right after the prototypes
     assert memory.working.columns == slice(2, 2 + 5 * hw)
-    npt.assert_array_equal(memory.keys[:, memory.working.columns], kept_keys)
+    npt.assert_array_equal(_keys(memory, memory.working.columns), kept_keys)
 
 
 def test_split_minimal_configuration():
@@ -218,5 +221,5 @@ def test_reference_never_a_candidate(t_min, extra):
     )
     assert memory.inserted_at[0] == 0
     npt.assert_array_equal(
-        memory.keys[:, memory.working.columns][:, :hw], _frame(0)[0].data
+        _keys(memory, memory.working.columns)[:, :hw], _frame(0)[0].data
     )
