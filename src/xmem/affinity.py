@@ -7,6 +7,14 @@ softmax weights, a pair of (hw, k) arrays. Memory keys and values arrive as
 element-major rows, (n, c_k) and (n, c_v), so the readout gathers contiguous
 value rows.
 
+The top-k is selected exactly, one cache-sized block of query rows at a
+time. Per row, the k-th largest of the maxima of g strided column groups
+bounds the k-th largest value from below (k distinct groups each hold a value
+at least that large), so every element at or above the bound is a candidate
+and the top k are among them. Usually a row has only a few more than k
+candidates; only rows with a surplus are resolved exactly, by sorting their
+own candidates. Temporaries stay at one block, never (hw, n).
+
 All operations are pure functions of their inputs and single precision.
 Reduction order is fixed (retained elements are always processed in
 ascending index order), so results are reproducible run to run.
@@ -17,6 +25,15 @@ from __future__ import annotations
 import numpy as np
 
 from .core_types import ContractError, QueryBlock, SelectionBlock, ShapeError
+
+# similarities per block of query rows in the top-k selection (1 MB of float32)
+_TOPK_BLOCK = 1 << 18
+# column groups whose maxima bound each row's k-th largest value; with
+# n <= _GROUPS every group is one column and the bound is exact. Prime, so
+# that a query position's copies in successive stored frames (hw columns
+# apart, often its closest matches) fall into distinct groups; a group count
+# sharing a factor f with hw would squeeze them into 1/f as many groups
+_GROUPS = 1021
 
 
 def similarity(
@@ -63,22 +80,42 @@ def _retained_indices(rows: np.ndarray, top_k: int) -> np.ndarray:
     """Per-row indices of the top_k largest values, value ties toward the
     lower index, each row sorted ascending.
 
-    argpartition settles everything except which of the values tied with the
-    k-th rank survive; rows where that boundary is ambiguous are repaired
-    index-by-index so replay is byte-exact regardless of partition order.
+    Rows are processed in blocks of about _TOPK_BLOCK values. In a block,
+    each row's maxima over g = min(n, max(_GROUPS, top_k)) strided column
+    groups (column j is in group j % g) give a bound: their top_k-th largest
+    is at most the row's top_k-th largest value. The candidates are the
+    values at or above the bound, in ascending column order. A row with
+    exactly top_k candidates keeps them all; a row with more keeps its first
+    top_k candidates by (value descending, index ascending).
     """
-    n = rows.shape[1]
-    part = np.argpartition(rows, n - top_k, axis=1)[:, n - top_k :]
-    kept = np.sort(part, axis=1)
-    kth = np.take_along_axis(rows, kept, axis=1).min(axis=1)
-    strictly_above = (rows > kth[:, None]).sum(axis=1)
-    tied_total = (rows == kth[:, None]).sum(axis=1)
-    ambiguous = np.nonzero(tied_total != top_k - strictly_above)[0]
-    for row in ambiguous:
-        values = rows[row]
-        above = np.nonzero(values > kth[row])[0]
-        tied = np.nonzero(values == kth[row])[0][: top_k - above.size]
-        kept[row] = np.sort(np.concatenate([above, tied]))
+    hw, n = rows.shape
+    g = min(n, max(_GROUPS, top_k))
+    full = n - n % g
+    step = max(1, _TOPK_BLOCK // n)
+    kept = np.empty((hw, top_k), dtype=np.intp)
+    for start in range(0, hw, step):
+        block = np.ascontiguousarray(rows[start : start + step])
+        b = block.shape[0]
+        group_max = block[:, :full].reshape(b, -1, g).max(axis=1)
+        tail = group_max[:, : n - full]
+        np.maximum(tail, block[:, full:], out=tail)
+        bound = np.partition(group_max, g - top_k, axis=1)[:, g - top_k]
+        # flat positions of the candidates, row-major, columns ascending
+        cand = np.flatnonzero(block >= bound[:, None])
+        row = cand // n
+        surplus = np.bincount(row, minlength=b) > top_k
+        if surplus.any():
+            keep = ~surplus[row]
+            sel = np.flatnonzero(~keep)
+            # stable sort by (row, value descending) keeps tied values in
+            # column order; sel is already grouped by row, so the sort keeps
+            # that grouping and rank is a slot's position within its row
+            r = row[sel]
+            order = np.lexsort((-block.ravel()[cand[sel]], r))
+            rank = np.arange(sel.size) - np.searchsorted(r, r)
+            keep[sel[order[rank < top_k]]] = True
+            cand = cand[keep]
+        kept[start : start + b] = cand.reshape(b, top_k) - np.arange(0, b * n, n)[:, None]
     return kept
 
 

@@ -102,6 +102,8 @@ def _validate(args) -> list[str]:
         )
     if args.synthetic and args.frames < 1:
         problems.append(f"--frames ({args.frames}) must be >= 1")
+    if args.synthetic and args.objects < 1:
+        problems.append(f"--objects ({args.objects}) must be >= 1")
     if args.synthetic and args.drift < 0:
         problems.append(f"--drift ({args.drift}) must be >= 0")
     if args.stream_out and not args.synthetic:

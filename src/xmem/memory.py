@@ -76,10 +76,13 @@ class TrackMemory:
         self.l_max = l_max
         self.unbounded = unbounded
         cap = t_max * self.hw + l_max
-        self.keys = np.zeros((cap, dims.c_k), dtype=np.float32)
-        self.values = np.zeros((cap, dims.c_v), dtype=np.float32)
-        self.shrinkage = np.zeros(cap, dtype=np.float32)
-        self.usage = np.zeros(cap, dtype=np.float64)
+        # uninitialized: _put writes every row before it is read. Zero-filling
+        # (calloc) would touch all of a buffer that malloc serves from reused
+        # heap memory, so peak RSS would depend on the allocator's history
+        self.keys = np.empty((cap, dims.c_k), dtype=np.float32)
+        self.values = np.empty((cap, dims.c_v), dtype=np.float32)
+        self.shrinkage = np.empty(cap, dtype=np.float32)
+        self.usage = np.empty(cap, dtype=np.float64)
         self.inserted_at: list[int] = []
         self.lt = 0
         self.n = 0
@@ -255,6 +258,6 @@ class TrackMemory:
         cap = 2 * self.capacity
         for name in ("keys", "values", "shrinkage", "usage"):
             old = getattr(self, name)
-            new = np.zeros((cap,) + old.shape[1:], dtype=old.dtype)
+            new = np.empty((cap,) + old.shape[1:], dtype=old.dtype)
             new[: self.n] = old[: self.n]
             setattr(self, name, new)

@@ -236,13 +236,14 @@ def read_lt_snapshot(path: str | Path) -> list[SnapshotObject]:
         (count,) = struct.unpack_from("<I", blob, offset)
         offset += 4
         blocks = []
-        for rows, dtype in ((c_k, "<f4"), (1, "<f4"), (c_v, "<f4"), (1, "<f8")):
-            n_items = rows * count
+        for shape, dtype in (((c_k, count), "<f4"), ((count,), "<f4"),
+                             ((c_v, count), "<f4"), ((count,), "<f8")):
+            n_items = int(np.prod(shape))
             end = offset + np.dtype(dtype).itemsize * n_items
             if end > len(blob):
                 raise StreamFormatError("truncated snapshot block", len(blob))
-            arr = np.frombuffer(blob, dtype=dtype, count=n_items, offset=offset).copy()
-            blocks.append(arr.reshape(rows, count) if rows > 1 else arr)
+            arr = np.frombuffer(blob, dtype=dtype, count=n_items, offset=offset)
+            blocks.append(arr.reshape(shape).copy())
             offset = end
         out.append(SnapshotObject(*blocks))
     if offset != len(blob):

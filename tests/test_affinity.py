@@ -1,9 +1,11 @@
+import importlib
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from xmem import (
@@ -17,6 +19,9 @@ from xmem import (
     usage_mass,
 )
 from xmem.oracle import oracle_affinity, oracle_readout, oracle_similarity
+
+# the module, not the function of the same name that xmem exports
+affinity_module = importlib.import_module("xmem.affinity")
 
 
 def _random_instance(rng, c_k, n, hw):
@@ -156,6 +161,86 @@ def test_affinity_with_heavy_ties_matches_oracle():
         ref = oracle_affinity(sim.T, k)
         npt.assert_allclose(eng, ref, atol=1e-6)
         npt.assert_array_equal(eng == 0.0, ref == 0.0)
+
+
+def _stable_sort_read(sim, top_k):
+    """Reference read: full stable sort by value descending, float64 softmax."""
+    k = min(top_k, sim.shape[1])
+    kept = np.sort(np.argsort(-sim, axis=1, kind="stable")[:, :k], axis=1)
+    vals = np.take_along_axis(sim.astype(np.float64), kept, axis=1)
+    ex = np.exp(vals - vals.max(axis=1, keepdims=True))
+    return kept, ex / ex.sum(axis=1, keepdims=True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    n=st.integers(1, 40),
+    hw=st.integers(1, 12),
+    top_k=st.integers(1, 45),
+    groups=st.sampled_from([1, 4, 8, 16]),
+    block=st.sampled_from([1, 9, 40, 1 << 18]),
+    levels=st.sampled_from([0, 2, 5, None]),
+)
+# n below, equal to, and not a multiple of the group count
+@example(seed=1, n=7, hw=5, top_k=3, groups=8, block=1 << 18, levels=None)
+@example(seed=2, n=8, hw=5, top_k=3, groups=8, block=1 << 18, levels=2)
+@example(seed=3, n=35, hw=5, top_k=3, groups=8, block=1 << 18, levels=None)
+# hw not a multiple of the rows per block, top_k >= n, a single row
+@example(seed=4, n=20, hw=7, top_k=4, groups=4, block=40, levels=None)
+@example(seed=5, n=20, hw=3, top_k=20, groups=4, block=40, levels=5)
+@example(seed=6, n=20, hw=1, top_k=30, groups=4, block=1, levels=None)
+# heavy ties: mixed -0.0 / 0.0 and a few levels
+@example(seed=7, n=33, hw=6, top_k=5, groups=4, block=40, levels=0)
+@example(seed=8, n=33, hw=6, top_k=5, groups=4, block=40, levels=2)
+def test_affinity_matches_stable_sort_reference(seed, n, hw, top_k, groups, block, levels):
+    rng = np.random.default_rng(seed)
+    if levels is None:
+        sim = -rng.uniform(0, 100, (hw, n)).astype(np.float32)
+    elif levels == 0:
+        sim = rng.choice(np.array([0.0, -0.0, -1.0], dtype=np.float32), (hw, n))
+    else:
+        sim = -rng.integers(0, levels, (hw, n)).astype(np.float32)
+    with mock.patch.object(affinity_module, "_GROUPS", groups), \
+            mock.patch.object(affinity_module, "_TOPK_BLOCK", block):
+        kept, weights = affinity(sim, top_k)
+    ref_kept, ref_weights = _stable_sort_read(sim, top_k)
+    npt.assert_array_equal(kept, ref_kept)
+    npt.assert_allclose(weights, ref_weights, atol=1e-6)
+
+
+@pytest.mark.parametrize(
+    "groups,block", [(affinity_module._GROUPS, affinity_module._TOPK_BLOCK), (4, 7)]
+)
+def test_affinity_read_is_pinned(groups, block):
+    # with 4 groups both rows have surplus candidates; row 1 ties at -1.0
+    sim = -np.array(
+        [[0.5, 3.25, 0.0, 1.75, 0.5, 2.0, 0.125],
+         [4.0, 1.0, 2.5, 1.0, 0.75, 1.0, 3.0]],
+        dtype=np.float32,
+    )
+    with mock.patch.object(affinity_module, "_GROUPS", groups), \
+            mock.patch.object(affinity_module, "_TOPK_BLOCK", block):
+        kept, weights = affinity(sim, 3)
+    npt.assert_array_equal(kept, [[0, 2, 6], [1, 3, 4]])
+    expected = np.array(
+        [[0.24368178844451904, 0.40176334977149963, 0.3545548915863037],
+         [0.3045043349266052, 0.3045043349266052, 0.39099133014678955]],
+        dtype=np.float32,
+    )
+    assert weights.dtype == np.float32
+    assert weights.tobytes() == expected.tobytes()
+
+
+def test_affinity_temporaries_stay_below_the_scores():
+    rng = np.random.default_rng(19)
+    sim = -rng.uniform(0, 10, (1024, 8192)).astype(np.float32)
+    tracemalloc.start()
+    affinity(sim, 30)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    # an (hw, n) int64 index array alone would be twice the scores
+    assert peak <= sim.nbytes / 8
 
 
 def test_affinity_empty_memory_rejected():

@@ -57,6 +57,13 @@ def test_bad_bounds_name_both_flags(tmp_path, capsys):
     assert "--tmin" in captured.err and "--tmax" in captured.err
 
 
+def test_zero_objects_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "m.csv"
+    assert main(SMALL + ["--frames", "3", "--objects", "0", "--metrics-out", str(out)]) == 2
+    assert "--objects" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_default_flag_values():
     from xmem.cli import build_parser
 

@@ -192,6 +192,25 @@ def test_reads_are_views_of_the_store(monkeypatch):
     assert all(np.shares_memory(keys, buffer) for keys in read_keys)
 
 
+def test_unwritten_store_rows_are_never_read():
+    # the store's buffers start uninitialized: a replay whose unused rows
+    # hold NaN must match one whose unused rows hold zeros, bit for bit,
+    # through consolidations and evictions
+    cfg = _config(r=1, t_min=2, t_max=4, p=6, l_max=30)
+    runs = []
+    for fill in (0.0, np.nan):
+        frames = _frames(24)
+        p = Pipeline(cfg, next(frames))
+        memory = p.tracks[0].memory
+        for buffer in (memory.keys, memory.values, memory.shrinkage, memory.usage):
+            buffer[memory.n :] = fill
+        outputs = [p.step(feats, idx)[0] for idx, feats in enumerate(frames, start=1)]
+        runs.append(outputs)
+    assert sum(out.events.evicted_count for out in runs[0]) > 0
+    for zero, nan in zip(*runs):
+        npt.assert_array_equal(nan.readout, zero.readout)
+
+
 def test_step_readout_matches_oracle_after_consolidations():
     # 8x8 grid; every frame inserts, so every frame after the third
     # consolidates 64 candidates into 8 prototypes, and l_max=12 forces an

@@ -154,6 +154,30 @@ def test_snapshot_roundtrip(tmp_path):
         npt.assert_array_equal(snap.usage, memory.usage[lt])
 
 
+@pytest.mark.parametrize("c_k,c_v", [(1, 4), (3, 1)])
+def test_single_channel_snapshot_keeps_its_rows(tmp_path, c_k, c_v):
+    dims = FeatureDims(h=2, w=2, c_k=c_k, c_v=c_v, c_h=2)
+    header = StreamHeader(c_k=c_k, c_v=c_v, c_in=2, h=2, w=2, frame_count=20, object_count=1)
+    cfg = PipelineConfig(
+        dims=dims, r=1, t_min=2, t_max=4, p=3, l_max=9, sensory_input_channels=2
+    )
+    pipeline, _, _ = run_stream(synthetic_frames(3, header, 0.2), cfg)
+    path = tmp_path / "lt.xmlt"
+    write_lt_snapshot(path, pipeline.tracks)
+    (snap,) = read_lt_snapshot(path)
+    (track,) = pipeline.tracks
+    count = track.long_term.element_count
+    assert count > 0
+    keys, shrinkage, values = track.memory.blocks(track.long_term.columns)
+    assert snap.keys.shape == (c_k, count)
+    assert snap.values.shape == (c_v, count)
+    assert snap.shrinkage.shape == snap.usage.shape == (count,)
+    npt.assert_array_equal(snap.keys, keys.data)
+    npt.assert_array_equal(snap.shrinkage, shrinkage.data)
+    npt.assert_array_equal(snap.values, values.data)
+    npt.assert_array_equal(snap.usage, track.memory.usage[track.long_term.columns])
+
+
 def test_snapshot_byte_layout_is_channel_major(tmp_path):
     # one track whose long-term memory holds three known prototypes
     dims = FeatureDims(h=1, w=4, c_k=2, c_v=3, c_h=2)
