@@ -1,13 +1,22 @@
 """Memory-bounded streaming attention-memory engine.
 
 Three cooperating feature stores (sensory, plus working and long-term memory
-sharing one element-major buffer per object track), an anisotropic
-squared-distance readout over a sparse top-k softmax affinity,
+sharing one buffer per object track, which also holds the similarity's
+memory operand), an anisotropic squared-distance readout over a sparse top-k
+softmax affinity scored one block of query rows at a time,
 usage-driven consolidation of working memory into long-term prototypes, and
 LFU eviction under a hard element cap.
 """
 
-from .affinity import affinity, readout, similarity, usage_mass
+from .affinity import (
+    ScoreBlock,
+    affinity,
+    memory_operand,
+    query_operand,
+    readout,
+    similarity,
+    usage_mass,
+)
 from .core_types import (
     CapacityError,
     ConfigError,

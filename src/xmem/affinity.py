@@ -1,19 +1,25 @@
 """Memory reading: anisotropic squared-distance similarity, sparse top-k
 softmax affinity, value readout, and per-element usage mass.
 
-A read keeps what the top-k filter keeps: per query column, the
-k = min(top_k, n) retained element indices in ascending order and their
-softmax weights, a pair of (hw, k) arrays. Memory keys and values arrive as
-element-major rows, (n, c_k) and (n, c_v), so the readout gathers contiguous
-value rows.
+The similarity of memory element i to query position j is
+    S[j, i] = s_i * (-(k_i*k_i) . e_j + 2 k_i . (e_j*q_j) - sum(e_j*q_j*q_j)),
+one GEMM of two operands: the memory's (2c_k+1, n) rows [s*k; s*k*k; s],
+which the store keeps up to date as it writes (`memory_operand`), and the
+query's (hw, 2c_k+1) rows [2 e*q, -e, -sum(e*q*q)] (`query_operand`).
 
-The top-k is selected exactly, one cache-sized block of query rows at a
-time. Per row, the k-th largest of the maxima of g strided column groups
-bounds the k-th largest value from below (k distinct groups each hold a value
-at least that large), so every element at or above the bound is a candidate
-and the top k are among them. Usually a row has only a few more than k
-candidates; only rows with a surplus are resolved exactly, by sorting their
-own candidates. Temporaries stay at one block, never (hw, n).
+A read keeps what the top-k filter keeps: per query row, the
+k = min(top_k, n) retained element indices in ascending order and their
+softmax weights, a pair of (hw, k) arrays. `affinity` scores, selects and
+weights one block of _READ_ROWS query rows at a time, so the (hw, n)
+similarity is never built; `readout` gathers the retained value rows for
+_READOUT_ROWS query rows at a time.
+
+The top-k is selected exactly. Per row, the k-th largest of the maxima of g
+strided column groups bounds the k-th largest value from below (k distinct
+groups each hold a value at least that large), so every element at or above
+the bound is a candidate and the top k are among them. Usually a row has only
+a few more than k candidates; only rows with a surplus are resolved exactly,
+by sorting their own candidates.
 
 All operations are pure functions of their inputs and single precision.
 Reduction order is fixed (retained elements are always processed in
@@ -26,119 +32,173 @@ import numpy as np
 
 from .core_types import ContractError, QueryBlock, SelectionBlock, ShapeError
 
-# similarities per block of query rows in the top-k selection (1 MB of float32)
-_TOPK_BLOCK = 1 << 18
+# query rows scored, selected and weighted together; a block of scores is
+# _READ_ROWS x n float32 (7.5 MB at n = 14580). Far fewer rows starve the
+# GEMM: 16 rows read twice as slowly at the paper's geometry
+_READ_ROWS = 128
+# query rows whose retained value rows are gathered together; the gather
+# buffer is _READOUT_ROWS * top_k * c_v float32 (480 KB at top_k 30, c_v 512)
+_READOUT_ROWS = 8
 # column groups whose maxima bound each row's k-th largest value; with
 # n <= _GROUPS every group is one column and the bound is exact. Prime, so
 # that a query position's copies in successive stored frames (hw columns
 # apart, often its closest matches) fall into distinct groups; a group count
 # sharing a factor f with hw would squeeze them into 1/f as many groups
 _GROUPS = 1021
+# smallest normal float32; the readout skips the products of smaller weights
+_TINY = np.finfo(np.float32).tiny
 
 
-def similarity(
-    keys: np.ndarray, shrinkage: np.ndarray, q: QueryBlock, e: SelectionBlock
+def memory_operand(
+    keys: np.ndarray, shrinkage: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """Anisotropic squared-distance similarity between memory and query.
+    """The similarity's memory operand: for channel-major keys (c_k, n) and
+    shrinkage (n,), the float32 (2c_k+1, n) rows [s*k; (s*k)*k; s].
 
-    keys are (n, c_k) element rows and shrinkage (n,); the result is (hw, n),
-    entry (j, i) scoring memory element i against query j. Entries are <= 0.
-    Computed via the expansion
-        S = s_col * (-(k*k)^T e + 2 k^T (e*q) - ones (e*q*q)),
-    which is elementwise products and matrix multiplies only. With unit
-    shrinkage and selection this is exactly the negated squared L2 distance
-    (up to rounding).
+    Written into `out` when given (a store's columns), else a new array.
     """
     keys = np.asarray(keys, dtype=np.float32)
     shrinkage = np.asarray(shrinkage, dtype=np.float32)
-    n = keys.shape[0]
+    c_k, n = keys.shape
     if shrinkage.shape != (n,):
         raise ShapeError(f"keys have {n} elements but shrinkage has shape {shrinkage.shape}")
+    if out is None:
+        out = np.empty((2 * c_k + 1, n), dtype=np.float32)
+    np.multiply(keys, shrinkage, out=out[:c_k])
+    np.multiply(out[:c_k], keys, out=out[c_k : 2 * c_k])
+    out[2 * c_k] = shrinkage
+    return out
+
+
+def query_operand(q: QueryBlock, e: SelectionBlock) -> np.ndarray:
+    """The similarity's query operand: (hw, 2c_k+1) rows
+    [2 e*q, -e, -sum(e*q*q)], one per query position."""
     if q.data.shape != e.data.shape:
         raise ShapeError(f"query {q.data.shape} and selection {e.data.shape} differ")
-    if keys.shape[1] != q.c_k:
-        raise ShapeError(f"keys have {keys.shape[1]} channels but query has {q.c_k}")
-    if n == 0:
-        return np.zeros((q.hw, 0), dtype=np.float32)
-
     qd, ed = q.data, e.data
     eq = ed * qd
-    # single fused GEMM: stacking [k, k*k, 1] against [2 e*q; -e; -sum(e*q*q)]
-    # yields all three expansion terms in one pass with no large temporaries
-    lhs = np.concatenate([keys, keys * keys, np.ones((n, 1), dtype=np.float32)], axis=1)
-    rhs = np.concatenate([2.0 * eq, -ed, -np.sum(eq * qd, axis=0, keepdims=True)])
-    # (hw, n), so the top-k filter reads contiguous rows
-    sim = rhs.T @ lhs.T
-    sim *= shrinkage[None, :]
+    return np.concatenate([2.0 * eq, -ed, -np.sum(eq * qd, axis=0, keepdims=True)]).T
+
+
+def _scores(operand: np.ndarray, rhs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Unclamped similarities (b, n) of query rows rhs (b, 2c_k+1) to the
+    memory elements of operand (2c_k+1, n), one GEMM."""
+    if rhs.shape[1] != operand.shape[0]:
+        raise ShapeError(
+            f"query operand has {rhs.shape[1]} rows but memory operand has {operand.shape[0]}"
+        )
+    return np.matmul(rhs, operand, out=out)
+
+
+def similarity(operand: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Similarities (b, n) of query rows rhs (b, 2c_k+1) to the memory
+    elements of operand (2c_k+1, n), all at once: the scores `affinity`
+    reads one block at a time. Entry (j, i) scores element i against query
+    j. Entries are <= 0. With unit shrinkage and selection this is exactly
+    the negated squared L2 distance (up to rounding).
+    """
+    out = _scores(operand, rhs)
     # rounding in the expansion can leave +epsilon where the true value is 0
     # (coincident key and query); clamp to keep the sign guarantee exact
-    np.minimum(sim, 0.0, out=sim)
-    return sim
+    np.minimum(out, 0.0, out=out)
+    return out
 
 
-def _retained_indices(rows: np.ndarray, top_k: int) -> np.ndarray:
-    """Per-row indices of the top_k largest values, value ties toward the
-    lower index, each row sorted ascending.
+def _retained_indices(block: np.ndarray, top_k: int) -> np.ndarray:
+    """Per-row indices of the top_k largest of min(block, 0), value ties
+    toward the lower index, each row sorted ascending.
 
-    Rows are processed in blocks of about _TOPK_BLOCK values. In a block,
-    each row's maxima over g = min(n, max(_GROUPS, top_k)) strided column
+    Each row's maxima over g = min(n, max(_GROUPS, top_k)) strided column
     groups (column j is in group j % g) give a bound: their top_k-th largest
     is at most the row's top_k-th largest value. The candidates are the
     values at or above the bound, in ascending column order. A row with
     exactly top_k candidates keeps them all; a row with more keeps its first
     top_k candidates by (value descending, index ascending).
+
+    The clamp at 0 is applied to the group maxima and to the candidates'
+    values, never to the block: the largest of clamped values is the clamped
+    largest, and x >= bound exactly when min(x, 0) >= bound for a bound <= 0.
     """
-    hw, n = rows.shape
+    b, n = block.shape
     g = min(n, max(_GROUPS, top_k))
     full = n - n % g
-    step = max(1, _TOPK_BLOCK // n)
-    kept = np.empty((hw, top_k), dtype=np.intp)
-    for start in range(0, hw, step):
-        block = np.ascontiguousarray(rows[start : start + step])
-        b = block.shape[0]
-        group_max = block[:, :full].reshape(b, -1, g).max(axis=1)
-        tail = group_max[:, : n - full]
-        np.maximum(tail, block[:, full:], out=tail)
-        bound = np.partition(group_max, g - top_k, axis=1)[:, g - top_k]
-        # flat positions of the candidates, row-major, columns ascending
-        cand = np.flatnonzero(block >= bound[:, None])
-        row = cand // n
-        surplus = np.bincount(row, minlength=b) > top_k
-        if surplus.any():
-            keep = ~surplus[row]
-            sel = np.flatnonzero(~keep)
-            # stable sort by (row, value descending) keeps tied values in
-            # column order; sel is already grouped by row, so the sort keeps
-            # that grouping and rank is a slot's position within its row
-            r = row[sel]
-            order = np.lexsort((-block.ravel()[cand[sel]], r))
-            rank = np.arange(sel.size) - np.searchsorted(r, r)
-            keep[sel[order[rank < top_k]]] = True
-            cand = cand[keep]
-        kept[start : start + b] = cand.reshape(b, top_k) - np.arange(0, b * n, n)[:, None]
-    return kept
+    group_max = block[:, :full].reshape(b, -1, g).max(axis=1)
+    tail = group_max[:, : n - full]
+    np.maximum(tail, block[:, full:], out=tail)
+    np.minimum(group_max, 0.0, out=group_max)
+    bound = np.partition(group_max, g - top_k, axis=1)[:, g - top_k]
+    # flat positions of the candidates, row-major, columns ascending
+    cand = np.flatnonzero(block >= bound[:, None])
+    row = cand // n
+    surplus = np.bincount(row, minlength=b) > top_k
+    if surplus.any():
+        keep = ~surplus[row]
+        sel = np.flatnonzero(~keep)
+        # stable sort by (row, value descending) keeps tied values in
+        # column order; sel is already grouped by row, so the sort keeps
+        # that grouping and rank is a slot's position within its row
+        r = row[sel]
+        order = np.lexsort((-np.minimum(block.ravel()[cand[sel]], 0.0), r))
+        rank = np.arange(sel.size) - np.searchsorted(r, r)
+        keep[sel[order[rank < top_k]]] = True
+        cand = cand[keep]
+    return cand.reshape(b, top_k) - np.arange(0, b * n, n)[:, None]
 
 
-def affinity(sim: np.ndarray, top_k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Softmax over the top_k most similar memory elements of each query.
+class ScoreBlock:
+    """Storage for `affinity`'s block of scores, reused across reads.
 
-    sim is (hw, n). Per query row, the k = min(top_k, n) largest similarities
+    A fresh block per read costs page faults whenever the allocator hands
+    its pages back to the system between reads: about 200 per read at
+    hw 64, n 1500, over a third of the read's time. One owner (a pipeline)
+    passing the same ScoreBlock to every read avoids them.
+    """
+
+    def __init__(self):
+        self._data = np.empty(0, dtype=np.float32)
+
+    def get(self, rows: int, n: int) -> np.ndarray:
+        """A (rows, n) float32 block; its contents are undefined."""
+        if self._data.size < rows * n:
+            self._data = np.empty(rows * n, dtype=np.float32)
+        return self._data[: rows * n].reshape(rows, n)
+
+
+def affinity(
+    operand: np.ndarray, rhs: np.ndarray, top_k: int, scratch: ScoreBlock | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sparse softmax read of query rows rhs (hw, 2c_k+1) over memory operand
+    (2c_k+1, n): per query row, the k = min(top_k, n) largest similarities
     are retained (ties toward the lower element index) and the softmax is
-    taken over them; every other element has weight 0. Returns the read: the
-    retained indices, ascending, and their weights, both (hw, k). The per-row
-    max is subtracted before exponentiation since similarities are
-    large-magnitude negatives.
+    taken over them; every other element has weight 0.
+
+    Returns the read: the retained indices, ascending, and their float32
+    weights, both (hw, k). Temporaries stay at one block of _READ_ROWS x n
+    scores, held in `scratch` when given. The scores are those of
+    `similarity`, whose clamp at 0 is applied only where the selection and
+    the softmax look.
     """
     if top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
-    sim = np.asarray(sim, dtype=np.float32)
-    if sim.shape[1] == 0:
-        raise ContractError("cannot read from an empty combined memory")
-    kept = _retained_indices(sim, min(top_k, sim.shape[1]))
-    vals = np.take_along_axis(sim, kept, axis=1)
-    vals -= vals.max(axis=1, keepdims=True)
-    ex = np.exp(vals)
-    return kept, ex / ex.sum(axis=1, keepdims=True)
+    hw, n = rhs.shape[0], operand.shape[1]
+    if n == 0:
+        raise ContractError("cannot read from an empty memory")
+    k = min(top_k, n)
+    kept = np.empty((hw, k), dtype=np.intp)
+    weights = np.empty((hw, k), dtype=np.float32)
+    block = (scratch or ScoreBlock()).get(min(hw, _READ_ROWS), n)
+    for start in range(0, hw, _READ_ROWS):
+        stop = min(start + _READ_ROWS, hw)
+        scores = _scores(operand, rhs[start:stop], out=block[: stop - start])
+        kept[start:stop] = idx = _retained_indices(scores, k)
+        vals = np.take_along_axis(scores, idx, axis=1)
+        np.minimum(vals, 0.0, out=vals)
+        # similarities are large-magnitude negatives: subtract the row max
+        # before exponentiating
+        vals -= vals.max(axis=1, keepdims=True)
+        np.exp(vals, out=vals)
+        np.divide(vals, vals.sum(axis=1, keepdims=True), out=weights[start:stop])
+    return kept, weights
 
 
 def readout(values: np.ndarray, read: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
@@ -146,9 +206,10 @@ def readout(values: np.ndarray, read: tuple[np.ndarray, np.ndarray]) -> np.ndarr
 
     values are (n, c_v) element rows and read is (indices, weights) as
     returned by `affinity`. Output column j is
-    sum_s weights[j, s] * values[indices[j, s]], summed in ascending index
-    order one retained slot at a time, so temporaries stay at hw x c_v. Each
-    output column is a convex combination of value rows.
+    sum_s weights[j, s] * values[indices[j, s]], over the retained slots in
+    ascending index order, skipping subnormal weights. The rows of _READOUT_ROWS query positions are
+    gathered at a time, so temporaries stay at hw x c_v plus one gather
+    buffer. Each output column is a convex combination of value rows.
     """
     values = np.asarray(values, dtype=np.float32)
     indices, weights = read
@@ -156,14 +217,25 @@ def readout(values: np.ndarray, read: tuple[np.ndarray, np.ndarray]) -> np.ndarr
         raise ShapeError(f"indices {indices.shape} and weights {weights.shape} differ")
     if indices.size and not 0 <= indices.min() <= indices.max() < values.shape[0]:
         raise ShapeError(f"affinity retains elements outside the {values.shape[0]} value rows")
+    # a product with a subnormal weight changes the sum by less than 1.2e-38
+    # times the value, but each costs a microcode assist on x86: a
+    # potentiation read's readout (128 queries, c_v 512), where far
+    # candidates get subnormal weights, took 2.3 ms instead of 0.6
+    weights = np.where(np.abs(weights) < _TINY, np.float32(0.0), weights)
     hw, k = indices.shape
-    out = np.zeros((hw, values.shape[1]), dtype=np.float32)
-    rows = np.empty_like(out)
-    for s in range(k):
+    c_v = values.shape[1]
+    out = np.empty((hw, c_v), dtype=np.float32)
+    gathered = np.empty((min(hw, _READOUT_ROWS) * k, c_v), dtype=np.float32)
+    for start in range(0, hw, _READOUT_ROWS):
+        stop = min(start + _READOUT_ROWS, hw)
+        rows = gathered[: (stop - start) * k]
         # indices are checked above; "clip" lets take write into rows unbuffered
-        np.take(values, indices[:, s], axis=0, out=rows, mode="clip")
-        rows *= weights[:, s, None]
-        out += rows
+        np.take(values, indices[start:stop].ravel(), axis=0, out=rows, mode="clip")
+        np.matmul(
+            weights[start:stop, None, :],
+            rows.reshape(stop - start, k, c_v),
+            out=out[start:stop, None, :],
+        )
     return out.T
 
 

@@ -1,8 +1,9 @@
 """Drives the pipeline over a frame source and writes per-frame metrics.
 
 The metrics CSV has one row per frame (frame 0 included) with LF line
-endings. Timing wraps the read path only (similarity, affinity, readout);
---no-timing zeroes the column so replays diff byte-identically.
+endings. Timing wraps the read path only: the query operand, the blocked
+score/top-k/softmax (`affinity.affinity`) and the gather readout, not the
+usage update. --no-timing zeroes the column so replays diff byte-identically.
 """
 
 from __future__ import annotations

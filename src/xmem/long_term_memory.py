@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .affinity import affinity, readout, similarity
+from .affinity import affinity, query_operand, readout
 from .core_types import (
     KeyBlock,
     QueryBlock,
@@ -107,6 +107,7 @@ def potentiate(
     candidate_keys: KeyBlock,
     candidate_shrinkage: ShrinkageVector,
     candidate_values: ValueBlock,
+    candidate_operand: np.ndarray,
     prototype_indices: list[int],
     top_k: int,
 ) -> tuple[KeyBlock, ShrinkageVector, ValueBlock]:
@@ -115,7 +116,9 @@ def potentiate(
     Prototype keys are exact copies of the selected candidate columns. Values
     and shrinkage are affinity-weighted averages over all candidates, with
     the prototypes acting as queries against the candidate set (unit
-    selection, the usual sparse top-k read).
+    selection, the usual sparse top-k read). candidate_operand is the
+    candidates' (2c_k+1, n) memory operand, as `TrackMemory.candidates` or
+    `affinity.memory_operand` give it.
     """
     if len(set(prototype_indices)) != len(prototype_indices):
         raise ValueError("prototype indices must be unique")
@@ -132,16 +135,10 @@ def potentiate(
         raise ValueError("prototype index out of range")
 
     proto_key_data = candidate_keys.data[:, idx]
-    shrinkage = candidate_shrinkage.data
-    sim = similarity(
-        candidate_keys.data.T,
-        shrinkage,
-        QueryBlock(proto_key_data),
-        SelectionBlock(np.ones_like(proto_key_data)),
-    )
-    read = affinity(sim, top_k)
+    rhs = query_operand(QueryBlock(proto_key_data), SelectionBlock(np.ones_like(proto_key_data)))
+    read = affinity(candidate_operand, rhs, top_k)
     proto_values = readout(candidate_values.data.T, read)
-    proto_shrinkage = readout(shrinkage[:, None], read)[0]
+    proto_shrinkage = readout(candidate_shrinkage.data[:, None], read)[0]
     # convex combination of values >= 1 can round a hair below the bound
     np.maximum(proto_shrinkage, 1.0, out=proto_shrinkage)
     return (

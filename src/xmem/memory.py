@@ -2,17 +2,24 @@
 
 A track reads a single memory, so it keeps a single buffer: element-major
 float32 keys (cap, c_k) and values (cap, c_v), one row per memory element,
-float32 shrinkage (cap,) and float64 usage (cap,). Elements [0, lt) are the
-long-term prototypes and [lt, n) the working-memory frames in insertion
-order, the immortal reference frame first. The capacity is the hard bound
+float32 shrinkage (cap,), float64 usage (cap,), and the similarity's
+channel-major float32 memory operand, one column [s*k; s*k*k; s] per element
+(see `affinity.memory_operand`). Elements [0, lt) are the long-term
+prototypes and [lt, n) the working-memory frames in insertion order, the
+immortal reference frame first. The capacity is the hard bound
 t_max*h*w + l_max, so the buffer is allocated once; only the unbounded
-comparison mode, which never consolidates, grows it by doubling. Reads take
-views of rows [0, n) and consolidation rewrites the rows in place.
+comparison mode, which never consolidates, grows it by doubling. The
+operand alone starts small and doubles as elements arrive, up to the
+capacity. Reads take views of elements [0, n) and consolidation rewrites
+them in place.
 
 This module alone knows the layout. Blocks go in and come out channel-major
-(one column per element, as everywhere else); only `read` hands out the raw
-element-major rows, for the read path. Contents are validated once, by the
-blocks passed to `append_frame` and `commit`, never again on a read.
+(one column per element, as everywhere else); only `read` hands out the
+operand and the raw element-major value rows, for the read path. Every row
+is written by `_put`, which derives the operand column from the key and
+shrinkage it writes, so the operand never goes stale. Contents are validated
+once, by the blocks passed to `append_frame` and `commit`, never again on a
+read.
 
 Single-writer: exactly one pipeline owns and mutates an instance.
 """
@@ -23,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .affinity import memory_operand
 from .core_types import (
     CapacityError,
     ConfigError,
@@ -75,14 +83,7 @@ class TrackMemory:
         self.t_max = t_max
         self.l_max = l_max
         self.unbounded = unbounded
-        cap = t_max * self.hw + l_max
-        # uninitialized: _put writes every row before it is read. Zero-filling
-        # (calloc) would touch all of a buffer that malloc serves from reused
-        # heap memory, so peak RSS would depend on the allocator's history
-        self.keys = np.empty((cap, dims.c_k), dtype=np.float32)
-        self.values = np.empty((cap, dims.c_v), dtype=np.float32)
-        self.shrinkage = np.empty(cap, dtype=np.float32)
-        self.usage = np.empty(cap, dtype=np.float64)
+        self._allocate(t_max * self.hw + l_max)
         self.inserted_at: list[int] = []
         self.lt = 0
         self.n = 0
@@ -103,14 +104,14 @@ class TrackMemory:
     def working(self) -> Segment:
         return Segment(slice(self.lt, self.n), self.frame_count)
 
-    def read(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Read-only views of the whole memory: keys (n, c_k), shrinkage (n,)
-        and values (n, c_v), element-major.
+    def read(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only views of the whole memory: the similarity's memory
+        operand (2c_k+1, n) and the element-major values (n, c_v).
 
         Nothing is copied or re-validated. The views are valid only until the
         next append_frame or commit, which rewrite the buffer in place.
         """
-        views = (self.keys[: self.n], self.shrinkage[: self.n], self.values[: self.n])
+        views = (self.operand[:, : self.n], self.values[: self.n])
         for view in views:
             view.flags.writeable = False
         return views
@@ -183,15 +184,17 @@ class TrackMemory:
 
     def candidates(
         self, current_frame_idx: int
-    ) -> tuple[KeyBlock, ShrinkageVector, ValueBlock, np.ndarray]:
+    ) -> tuple[KeyBlock, ShrinkageVector, ValueBlock, np.ndarray, np.ndarray]:
         """Views of the consolidation candidates, the t_max - t_min frames
-        after the reference frame, and their residency-normalized usage."""
+        after the reference frame: their blocks, their memory operand
+        columns, and their residency-normalized usage."""
         self._check_full()
         hw = self.hw
         first = self.lt + hw
         count = (self.t_max - self.t_min) * hw
+        columns = slice(first, first + count)
         usage = self.normalized_usage(current_frame_idx)[hw : hw + count]
-        return (*self.blocks(slice(first, first + count)), usage)
+        return (*self.blocks(columns), self.operand[:, columns], usage)
 
     def commit(
         self, proto_keys: KeyBlock, proto_shrinkage: ShrinkageVector, proto_values: ValueBlock
@@ -246,18 +249,38 @@ class TrackMemory:
             )
 
     def _put(self, start: int, keys, shrinkage, values, usage) -> int:
-        """Write element rows from `start` on; returns the row after the last."""
+        """Write element rows, and their operand columns, from `start` on;
+        returns the row after the last."""
         stop = start + len(shrinkage)
         self.keys[start:stop] = keys
         self.shrinkage[start:stop] = shrinkage
         self.values[start:stop] = values
         self.usage[start:stop] = usage
+        if stop > self.operand.shape[1]:
+            # the operand grows by doubling, up to the capacity: a frame's
+            # columns reach into all 2c_k+1 rows, so writing the first frame
+            # into a full-size operand would page in most of it at once
+            grown = np.empty((self.operand.shape[0], min(2 * stop, self.capacity)), np.float32)
+            grown[:, :start] = self.operand[:, :start]
+            self.operand = grown
+        memory_operand(
+            self.keys[start:stop].T, self.shrinkage[start:stop], out=self.operand[:, start:stop]
+        )
         return stop
 
+    def _allocate(self, cap: int) -> None:
+        # uninitialized: _put writes every row before it is read. Zero-filling
+        # (calloc) would touch all of a buffer that malloc serves from reused
+        # heap memory, so peak RSS would depend on the allocator's history
+        c_k = self.dims.c_k
+        self.keys = np.empty((cap, c_k), dtype=np.float32)
+        self.values = np.empty((cap, self.dims.c_v), dtype=np.float32)
+        self.shrinkage = np.empty(cap, dtype=np.float32)
+        self.usage = np.empty(cap, dtype=np.float64)
+        self.operand = np.empty((2 * c_k + 1, 0), dtype=np.float32)
+
     def _grow(self) -> None:
-        cap = 2 * self.capacity
-        for name in ("keys", "values", "shrinkage", "usage"):
-            old = getattr(self, name)
-            new = np.empty((cap,) + old.shape[1:], dtype=old.dtype)
-            new[: self.n] = old[: self.n]
-            setattr(self, name, new)
+        n = self.n
+        old = (self.keys[:n], self.shrinkage[:n], self.values[:n], self.usage[:n])
+        self._allocate(2 * self.capacity)
+        self._put(0, *old)

@@ -20,7 +20,7 @@ from typing import Literal
 
 import numpy as np
 
-from .affinity import affinity, readout, similarity, usage_mass
+from .affinity import ScoreBlock, affinity, query_operand, readout, usage_mass
 from .core_types import (
     ConfigError,
     ContractError,
@@ -207,6 +207,7 @@ class Pipeline:
             )
         self.last_frame_idx = 0
         self.last_read_ns = 0
+        self._scores = ScoreBlock()
 
     # -- schedule ----------------------------------------------------------
 
@@ -248,11 +249,10 @@ class Pipeline:
             query = QueryBlock(feats.raw_query)
             selection = map_selection(feats.raw_selection)
             shrinkage = map_shrinkage(feats.raw_shrinkage)
-            mem_keys, mem_shrinkage, mem_values = memory.read()
+            operand, mem_values = memory.read()
 
             t0 = time.perf_counter_ns()
-            sim = similarity(mem_keys, mem_shrinkage, query, selection)
-            read = affinity(sim, cfg.top_k)
+            read = affinity(operand, query_operand(query, selection), cfg.top_k, self._scores)
             feat = readout(mem_values, read)
             read_ns += time.perf_counter_ns() - t0
             readouts.append(feat)
@@ -274,12 +274,10 @@ class Pipeline:
                         track.sensory, _grid(feats.values, dims), self.deep_weights
                     )
                 if not cfg.unbounded and memory.frame_count == cfg.t_max:
-                    cand_keys, cand_shrinkage, cand_values, cand_usage = (
-                        memory.candidates(frame_idx)
-                    )
+                    cand_keys, *cand_rest, cand_usage = memory.candidates(frame_idx)
                     indices = self._select(cand_keys, cand_usage, frame_idx)
                     report = memory.commit(
-                        *potentiate(cand_keys, cand_shrinkage, cand_values, indices, cfg.top_k)
+                        *potentiate(cand_keys, *cand_rest, indices, cfg.top_k)
                     )
             evicted = report.evicted_count if report else 0
             events.append(FrameEvents(insert, report is not None, evicted, report))

@@ -11,14 +11,16 @@ little-endian):
         values        c_v * h * w
         sensory_input c_in * h * w
 
-Declared sizes must match the byte length exactly; any mismatch is reported
-with the byte offset where parsing failed. Long-term snapshots ("XMLT" magic,
-version 2) reuse the same block conventions, except that usage is float64 so
-the counters round-trip exactly.
+Declared sizes must match the byte length exactly; any mismatch, including a
+file that shrinks while it is read, is reported with the byte offset where
+parsing failed. Files are read one block at a time, never whole. Long-term
+snapshots ("XMLT" magic, version 2) reuse the same block conventions, except
+that usage is float64 so the counters round-trip exactly.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -111,12 +113,16 @@ def iter_frames(path: str | Path) -> Iterator[list[ObjectFeatures]]:
         ("values", (header.c_v, hw)),
         ("sensory_input", (header.c_in, hw)),
     ]
+    frame_bytes = header.object_count * header.bytes_per_object
     with open(path, "rb") as f:
         f.seek(_HEADER.size)
-        for _ in range(header.frame_count):
+        for frame in range(header.frame_count):
             objects = []
             for _ in range(header.object_count):
-                blob = f.read(header.bytes_per_object)
+                blob = _read_exact(
+                    f, header.bytes_per_object, f"truncated frame {frame}",
+                    _HEADER.size + frame * frame_bytes,
+                )
                 fields = {}
                 offset = 0
                 for name, shape in shapes:
@@ -220,32 +226,43 @@ def write_lt_snapshot(path: str | Path, tracks) -> None:
 
 
 def read_lt_snapshot(path: str | Path) -> list[SnapshotObject]:
-    blob = Path(path).read_bytes()
-    if len(blob) < _SNAP_HEADER.size:
-        raise StreamFormatError("truncated snapshot header", len(blob))
-    magic, version, objects, c_k, c_v = _SNAP_HEADER.unpack(blob[: _SNAP_HEADER.size])
-    if magic != SNAPSHOT_MAGIC:
-        raise StreamFormatError(f"bad magic {magic!r}, want {SNAPSHOT_MAGIC!r}", 0)
-    if version != SNAPSHOT_VERSION:
-        raise StreamFormatError(f"unsupported snapshot version {version}", 4)
-    out = []
-    offset = _SNAP_HEADER.size
-    for _ in range(objects):
-        if offset + 4 > len(blob):
-            raise StreamFormatError("truncated snapshot object header", offset)
-        (count,) = struct.unpack_from("<I", blob, offset)
-        offset += 4
-        blocks = []
-        for shape, dtype in (((c_k, count), "<f4"), ((count,), "<f4"),
-                             ((c_v, count), "<f4"), ((count,), "<f8")):
-            n_items = int(np.prod(shape))
-            end = offset + np.dtype(dtype).itemsize * n_items
-            if end > len(blob):
-                raise StreamFormatError("truncated snapshot block", len(blob))
-            arr = np.frombuffer(blob, dtype=dtype, count=n_items, offset=offset)
-            blocks.append(arr.reshape(shape).copy())
-            offset = end
-        out.append(SnapshotObject(*blocks))
-    if offset != len(blob):
-        raise StreamFormatError("trailing bytes after snapshot payload", offset)
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        raw = f.read(_SNAP_HEADER.size)
+        if len(raw) < _SNAP_HEADER.size:
+            raise StreamFormatError("truncated snapshot header", len(raw))
+        magic, version, objects, c_k, c_v = _SNAP_HEADER.unpack(raw)
+        if magic != SNAPSHOT_MAGIC:
+            raise StreamFormatError(f"bad magic {magic!r}, want {SNAPSHOT_MAGIC!r}", 0)
+        if version != SNAPSHOT_VERSION:
+            raise StreamFormatError(f"unsupported snapshot version {version}", 4)
+        out = []
+        offset = _SNAP_HEADER.size
+        for _ in range(objects):
+            raw = _read_exact(f, 4, "truncated snapshot object header", offset)
+            (count,) = struct.unpack("<I", raw)
+            offset += 4
+            blocks = []
+            for shape, dtype in (((c_k, count), "<f4"), ((count,), "<f4"),
+                                 ((c_v, count), "<f4"), ((count,), "<f8")):
+                n_items = int(np.prod(shape))
+                nbytes = np.dtype(dtype).itemsize * n_items
+                # checked before reading, so a corrupt count allocates nothing
+                if offset + nbytes > size:
+                    raise StreamFormatError("truncated snapshot block", size)
+                raw = _read_exact(f, nbytes, "truncated snapshot block", offset)
+                blocks.append(np.frombuffer(raw, dtype=dtype).reshape(shape).copy())
+                offset += nbytes
+            out.append(SnapshotObject(*blocks))
+        if f.read(1):
+            raise StreamFormatError("trailing bytes after snapshot payload", offset)
     return out
+
+
+def _read_exact(f, nbytes: int, what: str, offset: int) -> bytes:
+    """nbytes from f; a short read (the file shrank or ends early) raises
+    StreamFormatError at `offset`, the start of the block being read."""
+    raw = f.read(nbytes)
+    if len(raw) < nbytes:
+        raise StreamFormatError(f"{what}: {len(raw)} of {nbytes} bytes", offset)
+    return raw

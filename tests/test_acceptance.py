@@ -26,8 +26,9 @@ from xmem import (
     ValueBlock,
     affinity,
     gru_step,
+    memory_operand,
     potentiate,
-    readout,
+    query_operand,
     similarity,
     soft_aggregate,
 )
@@ -65,7 +66,7 @@ def test_criterion_01_vectorized_similarity_matches_triple_loop():
         q = rng.uniform(-1, 1, (c_k, hw)).astype(np.float32)
         e = rng.uniform(0, 1, (c_k, hw)).astype(np.float32)
         s = rng.uniform(1, 10, n).astype(np.float32)
-        eng = similarity(k.T, s, QueryBlock(q), SelectionBlock(e))
+        eng = similarity(memory_operand(k, s), query_operand(QueryBlock(q), SelectionBlock(e)))
         ref = oracle_similarity(k, s, q, e)
         worst = max(worst, float(np.abs(eng.T - ref).max()))
     elapsed = time.perf_counter() - start
@@ -86,10 +87,8 @@ def test_criterion_02_unit_terms_reduce_to_squared_distance():
         k = rng.uniform(-1, 1, (c_k, n)).astype(np.float32)
         q = rng.uniform(-1, 1, (c_k, hw)).astype(np.float32)
         eng = similarity(
-            k.T,
-            np.ones(n, dtype=np.float32),
-            QueryBlock(q),
-            SelectionBlock(np.ones((c_k, hw), dtype=np.float32)),
+            memory_operand(k, np.ones(n, dtype=np.float32)),
+            query_operand(QueryBlock(q), SelectionBlock(np.ones((c_k, hw), dtype=np.float32))),
         )
         k64, q64 = k.astype(np.float64), q.astype(np.float64)
         dist = -(((k64[:, :, None] - q64[:, None, :]) ** 2).sum(axis=0))
@@ -289,7 +288,8 @@ def test_criterion_08_affinity_column_invariants():
         hw = int(rng.integers(1, 64))
         top_k = int(rng.integers(1, 40))
         sim = -rng.uniform(0, 1000, (n, hw)).astype(np.float32)
-        kept, weights = affinity(sim.T, top_k)
+        # an identity memory operand makes the read's GEMM reproduce sim
+        kept, weights = affinity(np.eye(n, dtype=np.float32), sim.T, top_k)
         # the sparse read densified to n x hw
         w = np.zeros((n, hw), dtype=np.float32)
         np.put_along_axis(w.T, kept, weights, axis=1)
@@ -315,7 +315,8 @@ def test_criterion_09_potentiation_hull_and_singleton():
         values = ValueBlock(rng.uniform(-3, 3, (c_v, n)).astype(np.float32))
         p = int(rng.integers(1, n + 1))
         idx = sorted(rng.choice(n, size=p, replace=False).tolist())
-        _, _, proto_values = potentiate(keys, shrink, values, idx, top_k=16)
+        operand = memory_operand(keys.data, shrink.data)
+        _, _, proto_values = potentiate(keys, shrink, values, operand, idx, top_k=16)
         lo = values.data.min(axis=1, keepdims=True) - 1e-5
         hi = values.data.max(axis=1, keepdims=True) + 1e-5
         if not ((proto_values.data >= lo).all() and (proto_values.data <= hi).all()):
@@ -324,7 +325,8 @@ def test_criterion_09_potentiation_hull_and_singleton():
     keys = KeyBlock(rng.uniform(-1, 1, (3, 1)).astype(np.float32))
     shrink = ShrinkageVector(rng.uniform(1, 8, 1).astype(np.float32))
     values = ValueBlock(rng.uniform(-3, 3, (4, 1)).astype(np.float32))
-    pk, ps, pv = potentiate(keys, shrink, values, [0], top_k=16)
+    operand = memory_operand(keys.data, shrink.data)
+    pk, ps, pv = potentiate(keys, shrink, values, operand, [0], top_k=16)
     singleton_exact = (
         pk.data.tobytes() == keys.data.tobytes()
         and pv.data.tobytes() == values.data.tobytes()

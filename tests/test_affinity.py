@@ -14,6 +14,8 @@ from xmem import (
     SelectionBlock,
     ShapeError,
     affinity,
+    memory_operand,
+    query_operand,
     readout,
     similarity,
     usage_mass,
@@ -32,9 +34,22 @@ def _random_instance(rng, c_k, n, hw):
     return k, s, q, e
 
 
+def _operands(k, s, q, e):
+    """The read's memory and query operands for channel-major inputs."""
+    return memory_operand(k, s), query_operand(QueryBlock(q), SelectionBlock(e))
+
+
 def _scores(rng, low, high, n, hw):
     """Random (hw, n) similarities, drawn as an n x hw matrix."""
     return -rng.uniform(low, high, (n, hw)).astype(np.float32).T
+
+
+def _read(sim, top_k):
+    """The read over given (hw, n) similarities: against an identity memory
+    operand, the scoring GEMM reproduces each score exactly (up to the sign
+    of zeros)."""
+    sim = np.asarray(sim, dtype=np.float32)
+    return affinity(np.eye(sim.shape[1], dtype=np.float32), sim, top_k)
 
 
 def _dense(read, n):
@@ -46,16 +61,16 @@ def _dense(read, n):
 
 
 def test_similarity_hand_values():
-    out = similarity([[2.0]], [1.0], QueryBlock([[0.0]]), SelectionBlock([[1.0]]))
+    out = similarity(*_operands([[2.0]], [1.0], [[0.0]], [[1.0]]))
     npt.assert_array_equal(out, [[-4.0]])
-    scaled = similarity([[2.0]], [3.0], QueryBlock([[0.0]]), SelectionBlock([[1.0]]))
+    scaled = similarity(*_operands([[2.0]], [3.0], [[0.0]], [[1.0]]))
     npt.assert_array_equal(scaled, [[-12.0]])
 
 
 def test_similarity_matches_triple_loop_oracle():
     rng = np.random.default_rng(42)
     k, s, q, e = _random_instance(rng, c_k=8, n=5, hw=7)
-    eng = similarity(k.T, s, QueryBlock(q), SelectionBlock(e))
+    eng = similarity(*_operands(k, s, q, e))
     ref = oracle_similarity(k, s, q, e)
     npt.assert_allclose(eng.T, ref, atol=1e-4)
 
@@ -64,12 +79,7 @@ def test_similarity_unit_terms_is_negated_squared_distance():
     rng = np.random.default_rng(9)
     k = rng.uniform(-1, 1, (6, 10)).astype(np.float32)
     q = rng.uniform(-1, 1, (6, 8)).astype(np.float32)
-    eng = similarity(
-        k.T,
-        np.ones(10, dtype=np.float32),
-        QueryBlock(q),
-        SelectionBlock(np.ones((6, 8), dtype=np.float32)),
-    )
+    eng = similarity(*_operands(k, np.ones(10), q, np.ones((6, 8), dtype=np.float32)))
     d = k.astype(np.float64)
     dist = -(((d[:, :, None] - q.astype(np.float64)[:, None, :]) ** 2).sum(axis=0))
     npt.assert_allclose(eng.T, dist, atol=1e-5)
@@ -80,38 +90,44 @@ def test_similarity_entries_never_positive():
     k, s, q, e = _random_instance(rng, c_k=4, n=20, hw=15)
     # coincident key and query provoke the cancellation worst case
     q[:, 0] = k[:, 3]
-    out = similarity(k.T, s, QueryBlock(q), SelectionBlock(e))
+    out = similarity(*_operands(k, s, q, e))
     assert out.max() <= 0.0
 
 
 def test_similarity_empty_memory_gives_empty_matrix():
-    out = similarity(
-        np.zeros((0, 3)),
-        np.zeros(0),
-        QueryBlock(np.zeros((3, 4))),
-        SelectionBlock(np.zeros((3, 4))),
-    )
+    out = similarity(*_operands(np.zeros((3, 0)), np.zeros(0), np.zeros((3, 4)), np.zeros((3, 4))))
     assert out.shape == (4, 0)
 
 
 def test_similarity_shape_mismatch_raises():
+    # shrinkage for 5 elements, keys for 2
     with pytest.raises(ShapeError):
-        similarity(
-            np.zeros((2, 3)),
-            np.ones(5),
-            QueryBlock(np.zeros((3, 4))),
-            SelectionBlock(np.zeros((3, 4))),
-        )
+        memory_operand(np.zeros((3, 2)), np.ones(5))
+    # query and selection differ
+    with pytest.raises(ShapeError):
+        query_operand(QueryBlock(np.zeros((3, 4))), SelectionBlock(np.zeros((3, 5))))
+    # 3-channel memory, 2-channel query
+    with pytest.raises(ShapeError):
+        similarity(*_operands(np.zeros((3, 2)), np.ones(2), np.zeros((2, 4)), np.zeros((2, 4))))
+
+
+def test_memory_operand_rows():
+    k = np.array([[1.0, -2.0], [0.5, 3.0]], dtype=np.float32)
+    s = np.array([2.0, 4.0], dtype=np.float32)
+    npt.assert_array_equal(
+        memory_operand(k, s),
+        [[2.0, -8.0], [1.0, 12.0], [2.0, 16.0], [0.5, 36.0], [2.0, 4.0]],
+    )
 
 
 def test_affinity_singleton_column():
-    kept, weights = affinity(np.array([[-100.0]]), top_k=5)
+    kept, weights = _read(np.array([[-100.0]]), top_k=5)
     npt.assert_array_equal(kept, [[0]])
     npt.assert_array_equal(weights, [[1.0]])
 
 
 def test_affinity_top2_of_three():
-    out = affinity(np.array([[-3.0, -2.0, -1.0]]), top_k=2)
+    out = _read(np.array([[-3.0, -2.0, -1.0]]), top_k=2)
     # softmax over the retained pair {-2, -1}: [1/(1+e), e/(1+e)]
     npt.assert_array_equal(out[0], [[1, 2]])
     dense = _dense(out, 3)
@@ -124,10 +140,10 @@ def test_affinity_top2_of_three():
 def test_affinity_large_top_k_is_plain_softmax():
     rng = np.random.default_rng(12)
     sim = _scores(rng, 0, 50, 6, 4)
-    kept, weights = affinity(sim, top_k=6)
+    kept, weights = _read(sim, top_k=6)
     # top_k >= n keeps every element: the same path with k = n
     npt.assert_array_equal(kept, np.broadcast_to(np.arange(6), (4, 6)))
-    larger_kept, larger_weights = affinity(sim, top_k=50)
+    larger_kept, larger_weights = _read(sim, top_k=50)
     npt.assert_array_equal(larger_kept, kept)
     npt.assert_array_equal(larger_weights, weights)
     npt.assert_allclose(_dense((kept, weights), 6), oracle_affinity(sim.T, None), atol=1e-6)
@@ -138,7 +154,7 @@ def test_affinity_matches_full_sort_oracle():
     for _ in range(25):
         n, hw, k = rng.integers(1, 40), rng.integers(1, 20), int(rng.integers(1, 12))
         sim = _scores(rng, 0, 100, n, hw)
-        eng = _dense(affinity(sim, k), n)
+        eng = _dense(_read(sim, k), n)
         ref = oracle_affinity(sim.T, k)
         npt.assert_allclose(eng, ref, atol=1e-5)
         # filtered-out entries are exactly zero in both
@@ -146,7 +162,7 @@ def test_affinity_matches_full_sort_oracle():
 
 
 def test_affinity_tie_break_keeps_lower_indices():
-    kept, weights = affinity(np.full((1, 4), -5.0, dtype=np.float32), top_k=2)
+    kept, weights = _read(np.full((1, 4), -5.0, dtype=np.float32), top_k=2)
     npt.assert_array_equal(kept, [[0, 1]])
     npt.assert_allclose(weights, [[0.5, 0.5]], atol=1e-7)
 
@@ -157,7 +173,7 @@ def test_affinity_with_heavy_ties_matches_oracle():
         n, hw, k = int(rng.integers(2, 40)), int(rng.integers(1, 15)), int(rng.integers(1, 10))
         # few distinct values force ties at the retention boundary
         sim = -rng.integers(0, 4, (n, hw)).astype(np.float32).T
-        eng = _dense(affinity(sim, k), n)
+        eng = _dense(_read(sim, k), n)
         ref = oracle_affinity(sim.T, k)
         npt.assert_allclose(eng, ref, atol=1e-6)
         npt.assert_array_equal(eng == 0.0, ref == 0.0)
@@ -179,40 +195,45 @@ def _stable_sort_read(sim, top_k):
     hw=st.integers(1, 12),
     top_k=st.integers(1, 45),
     groups=st.sampled_from([1, 4, 8, 16]),
-    block=st.sampled_from([1, 9, 40, 1 << 18]),
-    levels=st.sampled_from([0, 2, 5, None]),
+    rows=st.sampled_from([1, 2, 5, 128]),
+    levels=st.sampled_from([0, 2, 5, None, -1]),
 )
 # n below, equal to, and not a multiple of the group count
-@example(seed=1, n=7, hw=5, top_k=3, groups=8, block=1 << 18, levels=None)
-@example(seed=2, n=8, hw=5, top_k=3, groups=8, block=1 << 18, levels=2)
-@example(seed=3, n=35, hw=5, top_k=3, groups=8, block=1 << 18, levels=None)
+@example(seed=1, n=7, hw=5, top_k=3, groups=8, rows=128, levels=None)
+@example(seed=2, n=8, hw=5, top_k=3, groups=8, rows=128, levels=2)
+@example(seed=3, n=35, hw=5, top_k=3, groups=8, rows=128, levels=None)
 # hw not a multiple of the rows per block, top_k >= n, a single row
-@example(seed=4, n=20, hw=7, top_k=4, groups=4, block=40, levels=None)
-@example(seed=5, n=20, hw=3, top_k=20, groups=4, block=40, levels=5)
-@example(seed=6, n=20, hw=1, top_k=30, groups=4, block=1, levels=None)
+@example(seed=4, n=20, hw=7, top_k=4, groups=4, rows=2, levels=None)
+@example(seed=5, n=20, hw=3, top_k=20, groups=4, rows=2, levels=5)
+@example(seed=6, n=20, hw=1, top_k=30, groups=4, rows=1, levels=None)
 # heavy ties: mixed -0.0 / 0.0 and a few levels
-@example(seed=7, n=33, hw=6, top_k=5, groups=4, block=40, levels=0)
-@example(seed=8, n=33, hw=6, top_k=5, groups=4, block=40, levels=2)
-def test_affinity_matches_stable_sort_reference(seed, n, hw, top_k, groups, block, levels):
+@example(seed=7, n=33, hw=6, top_k=5, groups=4, rows=5, levels=0)
+@example(seed=8, n=33, hw=6, top_k=5, groups=4, rows=5, levels=2)
+# positive scores, which the clamp at 0 turns into ties
+@example(seed=9, n=33, hw=6, top_k=5, groups=4, rows=5, levels=-1)
+def test_affinity_matches_stable_sort_reference(seed, n, hw, top_k, groups, rows, levels):
     rng = np.random.default_rng(seed)
     if levels is None:
         sim = -rng.uniform(0, 100, (hw, n)).astype(np.float32)
     elif levels == 0:
         sim = rng.choice(np.array([0.0, -0.0, -1.0], dtype=np.float32), (hw, n))
+    elif levels == -1:
+        sim = rng.uniform(-2, 1, (hw, n)).astype(np.float32)
     else:
         sim = -rng.integers(0, levels, (hw, n)).astype(np.float32)
     with mock.patch.object(affinity_module, "_GROUPS", groups), \
-            mock.patch.object(affinity_module, "_TOPK_BLOCK", block):
-        kept, weights = affinity(sim, top_k)
-    ref_kept, ref_weights = _stable_sort_read(sim, top_k)
+            mock.patch.object(affinity_module, "_READ_ROWS", rows):
+        kept, weights = _read(sim, top_k)
+    # the read sees the scores clamped at 0, as `similarity` returns them
+    ref_kept, ref_weights = _stable_sort_read(np.minimum(sim, 0.0), top_k)
     npt.assert_array_equal(kept, ref_kept)
     npt.assert_allclose(weights, ref_weights, atol=1e-6)
 
 
 @pytest.mark.parametrize(
-    "groups,block", [(affinity_module._GROUPS, affinity_module._TOPK_BLOCK), (4, 7)]
+    "groups,rows", [(affinity_module._GROUPS, affinity_module._READ_ROWS), (4, 1)]
 )
-def test_affinity_read_is_pinned(groups, block):
+def test_affinity_read_is_pinned(groups, rows):
     # with 4 groups both rows have surplus candidates; row 1 ties at -1.0
     sim = -np.array(
         [[0.5, 3.25, 0.0, 1.75, 0.5, 2.0, 0.125],
@@ -220,8 +241,8 @@ def test_affinity_read_is_pinned(groups, block):
         dtype=np.float32,
     )
     with mock.patch.object(affinity_module, "_GROUPS", groups), \
-            mock.patch.object(affinity_module, "_TOPK_BLOCK", block):
-        kept, weights = affinity(sim, 3)
+            mock.patch.object(affinity_module, "_READ_ROWS", rows):
+        kept, weights = _read(sim, 3)
     npt.assert_array_equal(kept, [[0, 2, 6], [1, 3, 4]])
     expected = np.array(
         [[0.24368178844451904, 0.40176334977149963, 0.3545548915863037],
@@ -234,23 +255,49 @@ def test_affinity_read_is_pinned(groups, block):
 
 def test_affinity_temporaries_stay_below_the_scores():
     rng = np.random.default_rng(19)
-    sim = -rng.uniform(0, 10, (1024, 8192)).astype(np.float32)
+    hw, n = 1024, 8192
+    operand, rhs = _operands(*_random_instance(rng, c_k=8, n=n, hw=hw))
     tracemalloc.start()
-    affinity(sim, 30)
+    kept, weights = affinity(operand, rhs, 30)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    # an (hw, n) int64 index array alone would be twice the scores
-    assert peak <= sim.nbytes / 8
+    # the (hw, n) similarity alone would be hw * n * 4 bytes; one block of
+    # scores is _READ_ROWS * n * 4, an eighth of it here
+    assert kept.shape == weights.shape == (hw, 30)
+    assert peak <= hw * n * 4 / 4
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), hw=st.integers(1, 40), n=st.integers(1, 60))
+def test_block_boundaries_leave_the_read_unchanged(seed, hw, n):
+    rng = np.random.default_rng(seed)
+    k, s, q, e = _random_instance(rng, c_k=3, n=n, hw=hw)
+    # coincident keys and queries score around 0, where the clamp acts
+    q[:, : min(n, hw)] = k[:, : min(n, hw)]
+    operand, rhs = _operands(k, s, q, e)
+    values = rng.uniform(-1, 1, (n, 4)).astype(np.float32)
+    single = affinity(operand, rhs, 6)
+    with mock.patch.object(affinity_module, "_READ_ROWS", 7), \
+            mock.patch.object(affinity_module, "_READOUT_ROWS", 3):
+        blocked = affinity(operand, rhs, 6)
+        blocked_out = readout(values, blocked)
+    npt.assert_array_equal(blocked[0], single[0])
+    npt.assert_allclose(blocked[1], single[1], atol=1e-6)
+    npt.assert_allclose(blocked_out, readout(values, single), atol=1e-6)
+    # and both equal the stable-sort read of the clamped similarity
+    ref_kept, ref_weights = _stable_sort_read(similarity(operand, rhs), 6)
+    npt.assert_array_equal(single[0], ref_kept)
+    npt.assert_allclose(single[1], ref_weights, atol=1e-6)
 
 
 def test_affinity_empty_memory_rejected():
     with pytest.raises(ContractError):
-        affinity(np.zeros((3, 0)), top_k=2)
+        affinity(np.zeros((3, 0), dtype=np.float32), np.zeros((2, 3), dtype=np.float32), 2)
 
 
 def test_affinity_underflow_guarded():
     # large-magnitude negatives would underflow a naive softmax
-    _, weights = affinity(np.array([[-1e30, -1e30]], dtype=np.float32), top_k=2)
+    _, weights = _read(np.array([[-1e30, -1e30]], dtype=np.float32), top_k=2)
     npt.assert_allclose(weights[0], [0.5, 0.5], atol=1e-7)
 
 
@@ -258,6 +305,13 @@ def test_readout_weighted_average():
     read = (np.array([[0, 1]]), np.array([[0.25, 0.75]], dtype=np.float32))
     out = readout([[1.0], [3.0]], read)
     npt.assert_allclose(out, [[2.5]], atol=1e-7)
+
+
+def test_readout_skips_subnormal_weights():
+    # 1e-40 is subnormal in float32; its product, 1e-10, is left out
+    read = (np.array([[0, 1]]), np.array([[1.0, 1e-40]], dtype=np.float32))
+    out = readout(np.array([[0.0], [1e30]], dtype=np.float32), read)
+    assert out.tolist() == [[0.0]]
 
 
 def test_readout_one_hot_selects_columns():
@@ -270,7 +324,7 @@ def test_readout_one_hot_selects_columns():
 def test_readout_matches_scalar_oracle():
     rng = np.random.default_rng(14)
     v = rng.uniform(-1, 1, (5, 9)).astype(np.float32)
-    read = affinity(_scores(rng, 0, 10, 9, 6), 4)
+    read = _read(_scores(rng, 0, 10, 9, 6), 4)
     npt.assert_allclose(
         readout(v.T, read), oracle_readout(v, _dense(read, 9)), atol=1e-4
     )
@@ -288,7 +342,7 @@ def test_readout_temporaries_stay_at_hw_by_cv():
     rng = np.random.default_rng(18)
     n, hw, c_v, k = 2000, 256, 64, 30
     values = rng.uniform(-1, 1, (n, c_v)).astype(np.float32)
-    read = affinity(_scores(rng, 0, 10, n, hw), k)
+    read = _read(_scores(rng, 0, 10, n, hw), k)
     tracemalloc.start()
     readout(values, read)
     peak = tracemalloc.get_traced_memory()[1]
@@ -305,7 +359,7 @@ def test_usage_mass_single_column():
 
 def test_usage_mass_totals_and_exclusion():
     rng = np.random.default_rng(15)
-    read = affinity(_scores(rng, 0, 10, 30, 12), 5)
+    read = _read(_scores(rng, 0, 10, 30, 12), 5)
     mass = usage_mass(read, 30)
     assert abs(mass.sum() - 12.0) < 1e-4
     excluded = _dense(read, 30).sum(axis=1) == 0.0
@@ -316,7 +370,7 @@ def test_usage_mass_totals_and_exclusion():
 @given(st.integers(0, 2**31 - 1), st.integers(1, 48), st.integers(1, 16), st.integers(1, 40))
 def test_affinity_invariants_hold(seed, n, hw, top_k):
     rng = np.random.default_rng(seed)
-    out = _dense(affinity(_scores(rng, 0, 100, n, hw), top_k), n)
+    out = _dense(_read(_scores(rng, 0, 100, n, hw), top_k), n)
     assert out.min() >= 0.0
     npt.assert_allclose(out.sum(axis=0), 1.0, atol=1e-5)
     assert ((out > 0).sum(axis=0) <= top_k).all()
@@ -328,7 +382,7 @@ def test_readout_stays_in_per_channel_hull(seed):
     rng = np.random.default_rng(seed)
     n, hw = int(rng.integers(1, 30)), int(rng.integers(1, 12))
     v = rng.uniform(-5, 5, (4, n)).astype(np.float32)
-    out = readout(v.T, affinity(_scores(rng, 0, 20, n, hw), 6))
+    out = readout(v.T, _read(_scores(rng, 0, 20, n, hw), 6))
     lo = v.min(axis=1, keepdims=True) - 1e-5
     hi = v.max(axis=1, keepdims=True) + 1e-5
     assert (out >= lo).all() and (out <= hi).all()
@@ -339,8 +393,8 @@ def test_increasing_shrinkage_never_gains_mass():
     for _ in range(20):
         k, s, q, e = _random_instance(rng, c_k=5, n=12, hw=8)
         i = int(rng.integers(12))
-        mass = usage_mass(affinity(similarity(k.T, s, QueryBlock(q), SelectionBlock(e)), 4), 12)
+        mass = usage_mass(affinity(*_operands(k, s, q, e), 4), 12)
         s2 = s.copy()
         s2[i] *= 3.0
-        mass2 = usage_mass(affinity(similarity(k.T, s2, QueryBlock(q), SelectionBlock(e)), 4), 12)
+        mass2 = usage_mass(affinity(*_operands(k, s2, q, e), 4), 12)
         assert mass2[i] <= mass[i] + 1e-5

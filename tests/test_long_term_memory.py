@@ -14,6 +14,7 @@ from xmem import (
     ShrinkageVector,
     TrackMemory,
     ValueBlock,
+    memory_operand,
     potentiate,
     select_kmeans,
     select_prototypes,
@@ -29,6 +30,12 @@ def _candidates(rng, n, c_k=3, c_v=4):
         ShrinkageVector(rng.uniform(1, 6, n).astype(np.float32)),
         ValueBlock(rng.uniform(-2, 2, (c_v, n)).astype(np.float32)),
     )
+
+
+def _potentiate(keys, shrink, values, indices, top_k):
+    """potentiate over candidates given as blocks, with their memory operand."""
+    operand = memory_operand(keys.data, shrink.data)
+    return potentiate(keys, shrink, values, operand, indices, top_k)
 
 
 # -- selection ---------------------------------------------------------------
@@ -96,7 +103,7 @@ def test_select_kmeans_memory_stays_small():
 def test_potentiate_singleton_is_identity():
     rng = np.random.default_rng(34)
     keys, shrink, values = _candidates(rng, 1)
-    pk, ps, pv = potentiate(keys, shrink, values, [0], top_k=30)
+    pk, ps, pv = _potentiate(keys, shrink, values, [0], top_k=30)
     npt.assert_array_equal(pk.data, keys.data)
     npt.assert_allclose(pv.data, values.data, atol=1e-6)
     npt.assert_allclose(ps.data, shrink.data, atol=1e-6)
@@ -107,7 +114,7 @@ def test_potentiate_identical_keys_average_values():
     shrink = ShrinkageVector(np.array([2.0, 2.0], dtype=np.float32))
     values = ValueBlock(np.array([[1.0, 3.0], [10.0, 20.0]], dtype=np.float32))
     # top_k >= n: every candidate is retained
-    pk, ps, pv = potentiate(keys, shrink, values, [0], top_k=2)
+    pk, ps, pv = _potentiate(keys, shrink, values, [0], top_k=2)
     npt.assert_allclose(pv.data[:, 0], [2.0, 15.0], atol=1e-6)
     npt.assert_allclose(ps.data, [2.0], atol=1e-6)
 
@@ -116,7 +123,7 @@ def test_potentiate_keys_are_bitwise_copies():
     rng = np.random.default_rng(35)
     keys, shrink, values = _candidates(rng, 40)
     idx = [3, 7, 21]
-    pk, _, _ = potentiate(keys, shrink, values, idx, top_k=10)
+    pk, _, _ = _potentiate(keys, shrink, values, idx, top_k=10)
     assert pk.data.tobytes() == keys.data[:, idx].tobytes()
 
 
@@ -127,7 +134,7 @@ def test_potentiate_values_stay_in_candidate_hull():
         keys, shrink, values = _candidates(rng, n)
         p = int(rng.integers(1, n + 1))
         idx = sorted(rng.choice(n, size=p, replace=False).tolist())
-        _, ps, pv = potentiate(keys, shrink, values, idx, top_k=8)
+        _, ps, pv = _potentiate(keys, shrink, values, idx, top_k=8)
         lo = values.data.min(axis=1, keepdims=True) - 1e-5
         hi = values.data.max(axis=1, keepdims=True) + 1e-5
         assert (pv.data >= lo).all() and (pv.data <= hi).all()
@@ -137,7 +144,7 @@ def test_potentiate_values_stay_in_candidate_hull():
 def test_potentiate_empty_selection():
     rng = np.random.default_rng(37)
     keys, shrink, values = _candidates(rng, 5)
-    pk, ps, pv = potentiate(keys, shrink, values, [], top_k=4)
+    pk, ps, pv = _potentiate(keys, shrink, values, [], top_k=4)
     assert pk.n == 0 and ps.n == 0 and pv.n == 0
 
 
@@ -145,7 +152,7 @@ def test_potentiate_rejects_duplicate_indices():
     rng = np.random.default_rng(38)
     keys, shrink, values = _candidates(rng, 5)
     with pytest.raises(ValueError):
-        potentiate(keys, shrink, values, [1, 1], top_k=4)
+        _potentiate(keys, shrink, values, [1, 1], top_k=4)
 
 
 # -- commit / eviction ---------------------------------------------------------
@@ -161,7 +168,7 @@ def _commit(memory, count, seed=0):
     rng = np.random.default_rng(seed)
     frame = memory.inserted_at[-1] + 1
     memory.append_frame(*_candidates(rng, LT_DIMS.hw(), c_k=2, c_v=2), frame_idx=frame)
-    keys, shrinkage, values, _ = memory.candidates(frame)
+    keys, shrinkage, values, _, _ = memory.candidates(frame)
     protos = np.arange(count)
     report = memory.commit(
         KeyBlock(keys.data[:, protos]),

@@ -174,22 +174,22 @@ def test_usage_mass_is_conserved_per_read():
 def test_reads_are_views_of_the_store(monkeypatch):
     import xmem.pipeline as pl
 
-    read_keys = []
-    real = pl.similarity
+    read_operands = []
+    real = pl.affinity
 
-    def spy(keys, shrinkage, query, selection):
-        read_keys.append(keys)
-        return real(keys, shrinkage, query, selection)
+    def spy(operand, *args):
+        read_operands.append(operand)
+        return real(operand, *args)
 
-    monkeypatch.setattr(pl, "similarity", spy)
+    monkeypatch.setattr(pl, "affinity", spy)
     cfg = _config(r=2, t_min=2, t_max=4, p=6, l_max=30)
     frames = _frames(4)
     p = Pipeline(cfg, next(frames))
     for idx in (1, 2):
         p.step(next(frames), idx)
-    buffer = p.tracks[0].memory.keys
-    assert len(read_keys) == 2
-    assert all(np.shares_memory(keys, buffer) for keys in read_keys)
+    buffer = p.tracks[0].memory.operand
+    assert len(read_operands) == 2
+    assert all(np.shares_memory(operand, buffer) for operand in read_operands)
 
 
 def test_unwritten_store_rows_are_never_read():
@@ -204,6 +204,7 @@ def test_unwritten_store_rows_are_never_read():
         memory = p.tracks[0].memory
         for buffer in (memory.keys, memory.values, memory.shrinkage, memory.usage):
             buffer[memory.n :] = fill
+        memory.operand[:, memory.n :] = fill
         outputs = [p.step(feats, idx)[0] for idx, feats in enumerate(frames, start=1)]
         runs.append(outputs)
     assert sum(out.events.evicted_count for out in runs[0]) > 0

@@ -237,3 +237,79 @@ def test_snapshot_bad_magic(tmp_path):
     with pytest.raises(StreamFormatError) as err:
         read_lt_snapshot(path)
     assert err.value.offset == 0
+
+
+def test_stream_shrinking_mid_read_reports_frame_offset(tmp_path):
+    # objects of 26 KB each, larger than the reader's buffer, so frame 2 is
+    # still on disk when the file is cut short
+    header = StreamHeader(c_k=3, c_v=16, c_in=2, h=16, w=16, frame_count=4, object_count=2)
+    path = tmp_path / "shrinks.xmfs"
+    generate_synthetic(path, seed=2, header=header, drift=0.1)
+    frames = iter_frames(path)
+    next(frames)  # the size check has passed and frame 0 is read
+    frame_bytes = header.object_count * header.bytes_per_object
+    third = len(header.pack()) + 2 * frame_bytes
+    with open(path, "r+b") as f:
+        f.truncate(third + frame_bytes // 2)
+    next(frames)
+    with pytest.raises(StreamFormatError) as err:
+        next(frames)
+    assert err.value.offset == third
+    assert "truncated frame 2" in str(err.value)
+
+
+def _snapshot(tmp_path, monkeypatch):
+    """A two-track snapshot file, its bytes, and each track's long-term count."""
+    header = StreamHeader(c_k=3, c_v=4, c_in=2, h=2, w=2, frame_count=30, object_count=2)
+    cfg = PipelineConfig(
+        dims=header.dims(c_h=2), r=1, t_min=2, t_max=4, p=3, l_max=9,
+        sensory_input_channels=2,
+    )
+    pipeline, _, _ = run_stream(synthetic_frames(5, header, 0.2), cfg)
+    path = tmp_path / "lt.xmlt"
+    write_lt_snapshot(path, pipeline.tracks)
+
+    def refuse(self):
+        raise AssertionError("read_lt_snapshot must not read the whole file")
+
+    blob = path.read_bytes()
+    monkeypatch.setattr(Path, "read_bytes", refuse)
+    return path, blob, [t.long_term.element_count for t in pipeline.tracks]
+
+
+def test_snapshot_is_read_block_by_block(tmp_path, monkeypatch):
+    path, _, counts = _snapshot(tmp_path, monkeypatch)
+    snaps = read_lt_snapshot(path)
+    assert [snap.usage.size for snap in snaps] == counts
+
+
+def test_snapshot_truncation_offsets(tmp_path, monkeypatch):
+    path, blob, counts = _snapshot(tmp_path, monkeypatch)
+    # header 20 bytes, then per object a u32 count and 4 blocks of
+    # c_k, 1, c_v float32 and 1 float64 values per element
+    first_object = 4 + counts[0] * 4 * (3 + 1 + 4) + counts[0] * 8
+    cases = [
+        (10, "truncated snapshot header", 10),
+        (22, "truncated snapshot object header", 20),
+        (40, "truncated snapshot block", 40),
+        (20 + first_object + 2, "truncated snapshot object header", 20 + first_object),
+    ]
+    for length, message, offset in cases:
+        path.write_bytes(blob[:length])
+        with pytest.raises(StreamFormatError) as err:
+            read_lt_snapshot(path)
+        assert message in str(err.value) and err.value.offset == offset, length
+    path.write_bytes(blob + b"\0")
+    with pytest.raises(StreamFormatError) as err:
+        read_lt_snapshot(path)
+    assert "trailing bytes" in str(err.value) and err.value.offset == len(blob)
+
+
+def test_snapshot_corrupt_count_is_rejected_before_reading(tmp_path, monkeypatch):
+    path, blob, _ = _snapshot(tmp_path, monkeypatch)
+    # the first object claims 2^32 - 1 elements: 128 GB of keys
+    path.write_bytes(blob[:20] + struct.pack("<I", 2**32 - 1) + blob[24:])
+    with pytest.raises(StreamFormatError) as err:
+        read_lt_snapshot(path)
+    assert "truncated snapshot block" in str(err.value)
+    assert err.value.offset == len(blob)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import xmem.memory
 from xmem import (
     CapacityError,
     ContractError,
@@ -42,7 +43,7 @@ def _keys(memory, columns):
 
 def _consolidate(memory, frame_idx, picks=()):
     """Commit the picked candidates unchanged; returns the candidate keys."""
-    keys, shrinkage, values, _ = memory.candidates(frame_idx)
+    keys, shrinkage, values, _, _ = memory.candidates(frame_idx)
     offered = keys.data.copy()
     picks = list(picks)
     memory.commit(
@@ -94,6 +95,49 @@ def test_uncapped_store_grows_freely():
             npt.assert_array_equal(stored.data, appended.data)
     total = sum(np.pad(m, (0, memory.n - m.size)) for m in mass)
     npt.assert_allclose(memory.usage[: memory.n], total, atol=1e-9)
+
+
+def _assert_operand_in_step(memory):
+    """The stored memory operand is bitwise [s*k; (s*k)*k; s], recomputed
+    here from the stored keys and shrinkage."""
+    n = memory.n
+    keys, shrinkage = memory.keys[:n].T, memory.shrinkage[:n]
+    sk = keys * shrinkage
+    expected = np.concatenate([sk, sk * keys, shrinkage[None]])
+    assert memory.n <= memory.operand.shape[1] <= memory.capacity
+    assert np.ascontiguousarray(memory.operand[:, :n]).tobytes() == expected.tobytes()
+
+
+def test_operand_follows_appends_and_growth():
+    memory = TrackMemory(DIMS, t_min=2, t_max=3, l_max=5, unbounded=True)
+    initial = memory.capacity
+    for i in range(25):
+        memory.append_frame(*_frame(i), frame_idx=i)
+        _assert_operand_in_step(memory)
+    assert memory.capacity > initial
+
+
+def test_operand_follows_consolidations_with_eviction(monkeypatch):
+    # survivors move in one-row chunks, so compaction rewrites row by row
+    monkeypatch.setattr(xmem.memory, "_MOVE_CHUNK", 1)
+    memory = TrackMemory(DIMS, t_min=2, t_max=4, l_max=7)
+    rng = np.random.default_rng(5)
+    evicted = 0
+    for i in range(30):
+        memory.append_frame(*_frame(i), frame_idx=i)
+        _assert_operand_in_step(memory)
+        memory.add_usage(rng.uniform(0, 1, memory.n))
+        if memory.frame_count == memory.t_max:
+            keys, shrinkage, values, operand, _ = memory.candidates(i)
+            assert np.shares_memory(operand, memory.operand)
+            picks = sorted(rng.choice(keys.n, size=4, replace=False).tolist())
+            evicted += memory.commit(
+                KeyBlock(keys.data[:, picks]),
+                ShrinkageVector(shrinkage.data[picks] * np.float32(1.5)),
+                ValueBlock(values.data[:, picks]),
+            ).evicted_count
+            _assert_operand_in_step(memory)
+    assert evicted > 0
 
 
 def test_accumulate_usage_is_additive():
@@ -181,7 +225,7 @@ def test_split_bundle_matches_candidate_columns():
     memory = _filled(2, 4, 4, r=1)
     hw = DIMS.hw()
     memory.add_usage(np.arange(memory.n, dtype=np.float64))
-    keys, shrinkage, values, usage = memory.candidates(3)
+    keys, shrinkage, values, _, usage = memory.candidates(3)
     npt.assert_array_equal(keys.data[:, :hw], _frame(1)[0].data)
     npt.assert_array_equal(keys.data[:, hw:], _frame(2)[0].data)
     npt.assert_array_equal(values.data[:, hw:], _frame(2)[2].data)
