@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from . import harness, stream
-from .core_types import ConfigError, FeatureDims, StreamFormatError, XmemError
+from .core_types import ConfigError, StreamFormatError, XmemError
 from .pipeline import PipelineConfig
 
 DEEP_UPDATE_FLAGS = {"rth": "every_rth", "every": "every_frame", "never": "never"}
@@ -104,6 +104,8 @@ def _validate(args) -> list[str]:
         problems.append(f"--frames ({args.frames}) must be >= 1")
     if args.synthetic and args.objects < 1:
         problems.append(f"--objects ({args.objects}) must be >= 1")
+    if args.cin is not None and args.cin < 1:
+        problems.append(f"--cin ({args.cin}) must be >= 1")
     if args.synthetic and args.drift < 0:
         problems.append(f"--drift ({args.drift}) must be >= 0")
     if args.stream_out and not args.synthetic:
@@ -122,22 +124,17 @@ def main(argv=None) -> int:
         return 2
 
     height, width = (8, 8) if args.small else (args.height, args.width)
-    c_in = args.cin if args.cin is not None else args.ch
 
     try:
         if args.input:
             header = stream.read_header(args.input)
-            dims = FeatureDims(
-                h=header.h, w=header.w, c_k=header.c_k, c_v=header.c_v, c_h=args.ch
-            )
-            c_in = header.c_in
             frames = stream.iter_frames(args.input)
         else:
             header = stream.StreamHeader(
-                c_k=args.ck, c_v=args.cv, c_in=c_in, h=height, w=width,
+                c_k=args.ck, c_v=args.cv, c_in=args.ch if args.cin is None else args.cin,
+                h=height, w=width,
                 frame_count=args.frames, object_count=args.objects,
             )
-            dims = FeatureDims(h=height, w=width, c_k=args.ck, c_v=args.cv, c_h=args.ch)
             if args.stream_out:
                 stream.generate_synthetic(args.stream_out, args.seed, header, args.drift)
                 frames = stream.iter_frames(args.stream_out)
@@ -145,7 +142,7 @@ def main(argv=None) -> int:
                 frames = stream.synthetic_frames(args.seed, header, args.drift)
 
         config = PipelineConfig(
-            dims=dims,
+            dims=header.dims(c_h=args.ch),
             r=args.r,
             t_min=args.tmin,
             t_max=args.tmax,
@@ -156,7 +153,7 @@ def main(argv=None) -> int:
             prototype_strategy=args.strategy,
             insert_offset=args.insert_offset,
             unbounded=args.unbounded,
-            sensory_input_channels=c_in,
+            sensory_input_channels=header.c_in,
         )
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -87,10 +87,15 @@ class PipelineConfig:
             raise ConfigError(f"unknown deep_update_mode {self.deep_update_mode!r}")
         if self.prototype_strategy not in ("usage", "random", "kmeans"):
             raise ConfigError(f"unknown prototype_strategy {self.prototype_strategy!r}")
+        if self.sensory_input_channels is not None and self.sensory_input_channels < 1:
+            raise ConfigError(
+                f"sensory_input_channels must be >= 1, got {self.sensory_input_channels}"
+            )
 
     @property
     def sensory_channels(self) -> int:
-        return self.sensory_input_channels or self.dims.c_h
+        channels = self.sensory_input_channels
+        return self.dims.c_h if channels is None else channels
 
 
 @dataclass(frozen=True)

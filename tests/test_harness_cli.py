@@ -64,6 +64,13 @@ def test_zero_objects_is_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_zero_sensory_input_channels_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "m.csv"
+    assert main(SMALL + ["--frames", "3", "--cin", "0", "--metrics-out", str(out)]) == 2
+    assert "--cin" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_default_flag_values():
     from xmem.cli import build_parser
 

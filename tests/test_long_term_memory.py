@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import xmem.memory
 from xmem import (
     ConfigError,
     FeatureDims,
@@ -200,6 +199,13 @@ def _lt_keys(memory):
     return memory.blocks(memory.long_term.columns)[0].data
 
 
+def _next_prototypes(memory, count):
+    """Keys of the prototypes the next `_commit(memory, count)` takes: the
+    first columns of the candidate frame, the one after the reference."""
+    start = memory.lt + LT_DIMS.hw()
+    return memory.blocks(slice(start, start + count))[0].data.copy()
+
+
 def test_commit_evicts_least_used():
     memory = _store(l_max=3, usages=[5.0, 1.0, 3.0])
     survivor_key = _lt_keys(memory)[:, 0].copy()
@@ -218,9 +224,13 @@ def test_commit_without_overflow_evicts_nothing():
 
 def test_commit_eviction_tie_breaks_toward_lower_index():
     memory = _store(l_max=3, usages=[2.0, 2.0, 5.0])
-    kept = _lt_keys(memory)[:, [1, 2]].copy()
+    before = _lt_keys(memory).copy()
+    protos = _next_prototypes(memory, 1)
     _commit(memory, 1, seed=43)
-    npt.assert_array_equal(_lt_keys(memory)[:, :2], kept)
+    # rows 0 and 1 tie as least used: row 0 is evicted and takes the prototype
+    npt.assert_array_equal(_lt_keys(memory)[:, 0], protos[:, 0])
+    npt.assert_array_equal(_lt_keys(memory)[:, 1:], before[:, 1:])
+    npt.assert_array_equal(memory.usage[: memory.lt], [0.0, 2.0, 5.0])
 
 
 def test_commit_oversized_batch_rejected():
@@ -235,22 +245,40 @@ def test_commit_survivors_match_sort_truncate():
     usage = np.random.default_rng(46).uniform(0, 10, 15)
     _set_lt_usage(memory, usage)
     tagged = _lt_keys(memory).copy()
+    protos = _next_prototypes(memory, 9)
     _commit(memory, 9, seed=47)
-    # survivors must be exactly the usage-sorted tail of the old elements, in
-    # their old order, followed by the new prototypes
-    order = np.argsort(usage, kind="stable")
-    expected_keep = sorted(order[4:])  # 15 + 9 - 20 = 4 evicted
-    npt.assert_array_equal(_lt_keys(memory)[:, : len(expected_keep)], tagged[:, expected_keep])
-    npt.assert_array_equal(memory.usage[: len(expected_keep)], usage[expected_keep])
-    npt.assert_array_equal(memory.usage[len(expected_keep) : memory.lt], 0.0)
+    # the evicted are the head of the stable usage sort (15 + 9 - 20 = 4);
+    # their rows take the first prototypes in ascending row order, the rest
+    # extend the segment, and every survivor keeps its row and usage
+    evicted = np.sort(np.argsort(usage, kind="stable")[:4])
+    survivors = np.setdiff1d(np.arange(15), evicted)
+    assert memory.lt == 20
+    npt.assert_array_equal(_lt_keys(memory)[:, survivors], tagged[:, survivors])
+    npt.assert_array_equal(memory.usage[survivors], usage[survivors])
+    npt.assert_array_equal(_lt_keys(memory)[:, evicted], protos[:, :4])
+    npt.assert_array_equal(_lt_keys(memory)[:, 15:], protos[:, 4:])
+    npt.assert_array_equal(memory.usage[evicted], 0.0)
+    npt.assert_array_equal(memory.usage[15:20], 0.0)
 
 
-@pytest.mark.parametrize("chunk", [1, 4])
-def test_commit_compaction_in_chunks_matches_sort_truncate(chunk, monkeypatch):
-    # eviction compacts the survivors one chunk of rows at a time; chunks
-    # this small take several steps
-    monkeypatch.setattr(xmem.memory, "_MOVE_CHUNK", chunk)
-    test_commit_survivors_match_sort_truncate()
+def test_commit_leaves_survivors_in_place():
+    memory = _store(l_max=12)
+    _commit(memory, 12, seed=50)
+    usage = np.random.default_rng(51).uniform(0, 10, 12)
+    _set_lt_usage(memory, usage)
+
+    def rows():
+        """Every long-term row's keys, values, shrinkage, usage and operand
+        column, indexed by row."""
+        lt = slice(0, 12)
+        return (memory.keys[lt], memory.values[lt], memory.shrinkage[lt],
+                memory.usage[lt], memory.operand[:, lt].T)
+
+    before = [a.copy() for a in rows()]
+    assert _commit(memory, 5, seed=52) == 5
+    survivors = np.sort(np.argsort(usage, kind="stable")[5:])
+    for old, new in zip(before, rows()):
+        assert new[survivors].tobytes() == old[survivors].tobytes()
 
 
 def test_accumulate_usage_totals():

@@ -348,6 +348,17 @@ def test_fused_probabilities_shape_and_stochasticity():
 
 # -- config validation ------------------------------------------------------------
 
+@pytest.mark.parametrize("channels", [0, -3])
+def test_config_rejects_sensory_input_channels_below_one(channels):
+    with pytest.raises(ConfigError, match="sensory_input_channels"):
+        _config(sensory_input_channels=channels)
+
+
+def test_config_defaults_sensory_input_channels_to_c_h():
+    assert _config(sensory_input_channels=None).sensory_channels == DIMS.c_h
+    assert _config(sensory_input_channels=1).sensory_channels == 1
+
+
 def test_config_rejects_bad_bounds():
     with pytest.raises(ConfigError):
         _config(t_min=10, t_max=5)

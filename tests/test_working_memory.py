@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import xmem.memory
 from xmem import (
     CapacityError,
     ContractError,
@@ -117,9 +116,7 @@ def test_operand_follows_appends_and_growth():
     assert memory.capacity > initial
 
 
-def test_operand_follows_consolidations_with_eviction(monkeypatch):
-    # survivors move in one-row chunks, so compaction rewrites row by row
-    monkeypatch.setattr(xmem.memory, "_MOVE_CHUNK", 1)
+def test_operand_follows_consolidations_with_eviction():
     memory = TrackMemory(DIMS, t_min=2, t_max=4, l_max=7)
     rng = np.random.default_rng(5)
     evicted = 0
@@ -138,6 +135,51 @@ def test_operand_follows_consolidations_with_eviction(monkeypatch):
             ).evicted_count
             _assert_operand_in_step(memory)
     assert evicted > 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.integers(0, 8), min_size=1, max_size=12),
+    st.integers(8, 40),
+    st.integers(0, 2**32 - 1),
+)
+def test_commit_sequence_matches_list_model(batch_sizes, l_max, seed):
+    # the long-term contents, as a set of (key, usage), follow a plain model:
+    # drop the least-used elements, then append the prototypes at zero usage
+    memory = TrackMemory(DIMS, t_min=2, t_max=4, l_max=l_max)
+    rng = np.random.default_rng(seed)
+    model = {}  # key bytes -> usage
+    batches = iter(batch_sizes)
+    frame = 0
+    while True:
+        memory.append_frame(*_frame(seed + frame), frame_idx=frame)
+        mass = rng.uniform(0, 1, memory.n)
+        memory.add_usage(mass)
+        for row in range(memory.lt):
+            model[memory.keys[row].tobytes()] += mass[row]
+        if memory.frame_count == memory.t_max:
+            size = next(batches, None)
+            if size is None:
+                break
+            lt_usage = memory.usage[: memory.lt]
+            assert np.unique(lt_usage).size == lt_usage.size
+            keys, shrinkage, values, _, _ = memory.candidates(frame)
+            picks = sorted(rng.choice(keys.n, size=size, replace=False).tolist())
+            protos = KeyBlock(keys.data[:, picks])
+            report = memory.commit(
+                protos,
+                ShrinkageVector(shrinkage.data[picks] * np.float32(1.5)),
+                ValueBlock(values.data[:, picks]),
+            )
+            evicted = max(0, len(model) + size - l_max)
+            for key in sorted(model, key=model.get)[:evicted]:
+                del model[key]
+            model.update((key.tobytes(), 0.0) for key in protos.data.T)
+            assert report.evicted_count == evicted
+            stored = {(memory.keys[row].tobytes(), memory.usage[row]) for row in range(memory.lt)}
+            assert stored == set(model.items())
+            _assert_operand_in_step(memory)
+        frame += 1
 
 
 def test_accumulate_usage_is_additive():
