@@ -9,8 +9,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import harness, stream
+from . import stream
 from .core_types import ConfigError, StreamFormatError, XmemError
+from .harness import run_stream, write_metrics_csv
 from .pipeline import PipelineConfig
 
 DEEP_UPDATE_FLAGS = {"rth": "every_rth", "every": "every_frame", "never": "never"}
@@ -163,20 +164,14 @@ def main(argv=None) -> int:
         return 1
 
     try:
-        return harness.run(
-            frames,
-            config,
-            args.metrics_out,
-            seed=args.seed,
-            no_timing=args.no_timing,
-            snapshot_path=args.snapshot_out,
-        )
-    except StreamFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        pipeline, records = run_stream(frames, config, seed=args.seed)
+        write_metrics_csv(args.metrics_out, records, no_timing=args.no_timing)
+        if args.snapshot_out is not None:
+            stream.write_lt_snapshot(args.snapshot_out, pipeline.tracks)
     except XmemError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 def entry() -> None:

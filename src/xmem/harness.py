@@ -1,6 +1,13 @@
-"""Drives the pipeline over a frame source and writes per-frame metrics.
+"""Replays frames through a pipeline, one `FrameRecord` per frame.
 
-The metrics CSV has one row per frame (frame 0 included) with LF line
+A record holds the memory counts after the frame and the events it fired.
+With several objects, element and eviction counts are summed across the
+object tracks, `wm_frames` is their maximum (the schedule is shared) and
+`consolidated` is set when any track consolidated. The same record type is
+what `oracle.oracle_bookkeeping` simulates, so a replay's event log diffs
+directly against the schedule oracle.
+
+The metrics CSV has one row per record (frame 0 included) with LF line
 endings. Timing wraps the read path only: the query operand, the blocked
 score/top-k/softmax (`affinity.affinity`) and the gather readout, not the
 usage update. --no-timing zeroes the column so replays diff byte-identically.
@@ -11,11 +18,9 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
-from .oracle import BookkeepingRow
-from .pipeline import ObjectFeatures, Pipeline, PipelineConfig
-from .stream import write_lt_snapshot
+from .pipeline import FrameEvents, ObjectFeatures, Pipeline, PipelineConfig
 
 CSV_FIELDS = [
     "frame_idx", "wm_frames", "wm_elements", "lt_elements",
@@ -24,14 +29,17 @@ CSV_FIELDS = [
 
 
 @dataclass(frozen=True)
-class MetricsRow:
+class FrameRecord:
+    """Counters after one frame: store sizes plus the events that fired."""
+
     frame_idx: int
     wm_frames: int
     wm_elements: int
     lt_elements: int
-    read_duration_ns: int
-    consolidation_flag: bool
+    inserted: bool
+    consolidated: bool
     evicted_count: int
+    read_duration_ns: int = 0
 
     @property
     def total_elements(self) -> int:
@@ -45,88 +53,54 @@ class MetricsRow:
             "lt_elements": self.lt_elements,
             "total_elements": self.total_elements,
             "read_duration_ns": self.read_duration_ns,
-            "consolidation_flag": int(self.consolidation_flag),
+            "consolidation_flag": int(self.consolidated),
             "evicted_count": self.evicted_count,
         }
+
+
+def _record(pipeline: Pipeline, frame_idx: int, events: list[FrameEvents]) -> FrameRecord:
+    tracks = pipeline.tracks
+    return FrameRecord(
+        frame_idx=frame_idx,
+        wm_frames=max(t.working.frame_count for t in tracks),
+        wm_elements=sum(t.working.element_count for t in tracks),
+        lt_elements=sum(t.long_term.element_count for t in tracks),
+        inserted=any(e.inserted for e in events),
+        consolidated=any(e.consolidated for e in events),
+        evicted_count=sum(e.evicted_count for e in events),
+        read_duration_ns=pipeline.last_read_ns,
+    )
 
 
 def run_stream(
     frames: Iterable[list[ObjectFeatures]],
     config: PipelineConfig,
     seed: int = 0,
-    collect_events: bool = False,
-) -> tuple[Pipeline, list[MetricsRow], list[BookkeepingRow]]:
-    """Replay frames through a fresh pipeline, collecting one row per frame."""
+) -> tuple[Pipeline, list[FrameRecord]]:
+    """Replay frames through a fresh pipeline, one record per frame.
+
+    Frame 0 seeds every track's working memory, so its record counts as an
+    insertion with no read.
+    """
     frames = iter(frames)
     try:
         first = next(frames)
     except StopIteration:
         raise ValueError("stream has no frames") from None
     pipeline = Pipeline(config, first, seed=seed)
-    rows = [
-        MetricsRow(
-            frame_idx=0,
-            wm_frames=pipeline.wm_frames,
-            wm_elements=pipeline.wm_elements,
-            lt_elements=pipeline.lt_elements,
-            read_duration_ns=0,
-            consolidation_flag=False,
-            evicted_count=0,
-        )
-    ]
-    events = [BookkeepingRow(0, pipeline.wm_frames, pipeline.wm_elements,
-                             pipeline.lt_elements, True, False, 0)]
+    records = [_record(pipeline, 0, [FrameEvents(True, False, 0)])]
     for frame_idx, features in enumerate(frames, start=1):
         outputs = pipeline.step(features, frame_idx)
-        consolidated = any(o.events.consolidated for o in outputs)
-        evicted = sum(o.events.evicted_count for o in outputs)
-        rows.append(
-            MetricsRow(
-                frame_idx=frame_idx,
-                wm_frames=pipeline.wm_frames,
-                wm_elements=pipeline.wm_elements,
-                lt_elements=pipeline.lt_elements,
-                read_duration_ns=pipeline.last_read_ns,
-                consolidation_flag=consolidated,
-                evicted_count=evicted,
-            )
-        )
-        if collect_events:
-            ev = outputs[0].events
-            events.append(
-                BookkeepingRow(
-                    frame_idx,
-                    pipeline.tracks[0].working.frame_count,
-                    pipeline.tracks[0].working.element_count,
-                    pipeline.tracks[0].long_term.element_count,
-                    ev.inserted, ev.consolidated, ev.evicted_count,
-                )
-            )
-    return pipeline, rows, events if collect_events else []
+        records.append(_record(pipeline, frame_idx, [o.events for o in outputs]))
+    return pipeline, records
 
 
-def write_metrics_csv(path: str | Path, rows: Iterable[MetricsRow], no_timing: bool = False) -> None:
+def write_metrics_csv(path: str | Path, records: Iterable[FrameRecord], no_timing: bool = False) -> None:
     with open(path, "w", newline="") as f:
         writer = csv.DictWriter(f, fieldnames=CSV_FIELDS, lineterminator="\n")
         writer.writeheader()
-        for row in rows:
-            record = row.as_csv()
+        for record in records:
+            row = record.as_csv()
             if no_timing:
-                record["read_duration_ns"] = 0
-            writer.writerow(record)
-
-
-def run(
-    frames: Iterator[list[ObjectFeatures]],
-    config: PipelineConfig,
-    metrics_path: str | Path,
-    seed: int = 0,
-    no_timing: bool = False,
-    snapshot_path: str | Path | None = None,
-) -> int:
-    """Full harness pass: replay, write metrics, optionally snapshot. Returns 0."""
-    pipeline, rows, _ = run_stream(frames, config, seed=seed)
-    write_metrics_csv(metrics_path, rows, no_timing=no_timing)
-    if snapshot_path is not None:
-        write_lt_snapshot(snapshot_path, pipeline.tracks)
-    return 0
+                row["read_duration_ns"] = 0
+            writer.writerow(row)

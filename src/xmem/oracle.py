@@ -6,17 +6,19 @@ multiplies, a full-sort top-P selection, a per-position scalar GRU cell, and
 a counters-only simulator of the per-frame scheduling (insertions,
 consolidations, evictions) that never touches feature arithmetic.
 
-Deliberately unoptimized and allocation-heavy; never imported by the engine's
-read path. Any divergence between an oracle and the engine is an engine bug
-by definition.
+Deliberately unoptimized and allocation-heavy; no engine module imports it.
+The scheduling simulator returns the engine's own `harness.FrameRecord`.
+Any divergence between an oracle and the engine is an engine bug by
+definition.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
+
+from .harness import FrameRecord
 
 
 def oracle_similarity(keys, shrinkage, query, selection) -> np.ndarray:
@@ -169,17 +171,8 @@ def oracle_gru_step(h, x, w_z, b_z, w_r, b_r, w_h, b_h, kernel_size: int = 1) ->
     return out
 
 
-@dataclass(frozen=True)
-class BookkeepingRow:
-    """Counters after one frame: store sizes plus the events that fired."""
-
-    frame_idx: int
-    wm_frames: int
-    wm_elements: int
-    lt_elements: int
-    inserted: bool
-    consolidated: bool
-    evicted_count: int
+# older name of the engine's record, kept for bench/checks.py
+BookkeepingRow = FrameRecord
 
 
 def format_event_log(rows) -> str:
@@ -193,7 +186,7 @@ def format_event_log(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def oracle_bookkeeping(config, n_frames: int) -> list[BookkeepingRow]:
+def oracle_bookkeeping(config, n_frames: int) -> list[FrameRecord]:
     """Counters-only replay of the per-frame schedule.
 
     Simulates frame counts, element counts and insertion/consolidation/
@@ -201,7 +194,7 @@ def oracle_bookkeeping(config, n_frames: int) -> list[BookkeepingRow]:
     Frame 0 seeds the working memory and counts as an insertion.
     """
     hw = config.dims.hw()
-    rows = [BookkeepingRow(0, 1, hw, 0, True, False, 0)]
+    rows = [FrameRecord(0, 1, hw, 0, True, False, 0)]
     wm = 1
     lt = 0
     for t in range(1, n_frames):
@@ -217,5 +210,5 @@ def oracle_bookkeeping(config, n_frames: int) -> list[BookkeepingRow]:
                 lt = lt - evicted + protos
                 wm = config.t_min
                 consolidated = True
-        rows.append(BookkeepingRow(t, wm, wm * hw, lt, inserted, consolidated, evicted))
+        rows.append(FrameRecord(t, wm, wm * hw, lt, inserted, consolidated, evicted))
     return rows

@@ -9,7 +9,8 @@ consolidate the oldest non-reference frames into long-term prototypes,
 evicting least-used prototypes if the cap demands.
 
 One pipeline per stream; object tracks share nothing and the frame loop is
-sequential.
+sequential. A frame's inputs are checked for every object before the first
+read, so a rejected frame changes no state and can be stepped again.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ from .core_types import (
     FeatureDims,
     KeyBlock,
     QueryBlock,
+    ShapeError,
+    ValidationError,
     ValueBlock,
     map_selection,
     map_shrinkage,
@@ -230,6 +233,41 @@ class Pipeline:
 
     # -- per-frame loop ----------------------------------------------------
 
+    def _ingest(self, features: list[ObjectFeatures], insert: bool) -> list[tuple]:
+        """Check and map every object's inputs before the frame changes any state.
+
+        All five fields must have their documented shapes; the fields the
+        frame uses must be finite (values only on frames that insert or
+        deep-update from them). Returns per object the query, selection,
+        shrinkage, values (None when unused) and sensory input grid.
+        """
+        cfg = self.config
+        dims = cfg.dims
+        hw = dims.hw()
+        use_values = insert or cfg.deep_update_mode == "every_frame"
+        # (field, shape, mapper); a mapper raises ValidationError on bad entries
+        fields = (
+            ("raw_query", (dims.c_k, hw), QueryBlock),
+            ("raw_selection", (dims.c_k, hw), map_selection),
+            ("raw_shrinkage", (hw,), map_shrinkage),
+            ("values", (dims.c_v, hw), ValueBlock if use_values else lambda _: None),
+            ("sensory_input", (cfg.sensory_channels, hw), lambda x: _sensory_grid(x, dims)),
+        )
+        ingested = []
+        for obj, feats in enumerate(features):
+            for name, shape, _ in fields:
+                got = np.shape(getattr(feats, name))
+                if got != shape:
+                    raise ShapeError(f"object {obj}: {name} has shape {got}, want {shape}")
+            mapped = []
+            for name, _, mapper in fields:
+                try:
+                    mapped.append(mapper(getattr(feats, name)))
+                except ValidationError as err:
+                    raise ValidationError(f"object {obj}: {name}: {err}") from None
+            ingested.append(tuple(mapped))
+        return ingested
+
     def step(self, features: list[ObjectFeatures], frame_idx: int) -> list[FrameOutput]:
         if frame_idx <= self.last_frame_idx:
             raise ContractError(
@@ -241,19 +279,18 @@ class Pipeline:
             )
         cfg = self.config
         dims = cfg.dims
-        hw = dims.hw()
         insert = self.is_insertion_frame(frame_idx)
+        ingested = self._ingest(features, insert)
 
         readouts: list[np.ndarray] = []
         events: list[FrameEvents] = []
-        probs = np.empty((len(self.tracks), hw), dtype=np.float32)
+        probs = np.empty((len(self.tracks), dims.hw()), dtype=np.float32)
         read_ns = 0
 
-        for track, feats in zip(self.tracks, features):
+        for track, (query, selection, shrinkage, values, sensory_input) in zip(
+            self.tracks, ingested
+        ):
             memory = track.memory
-            query = QueryBlock(feats.raw_query)
-            selection = map_selection(feats.raw_selection)
-            shrinkage = map_shrinkage(feats.raw_shrinkage)
             operand, mem_values = memory.read()
 
             t0 = time.perf_counter_ns()
@@ -263,20 +300,18 @@ class Pipeline:
             readouts.append(feat)
             memory.add_usage(usage_mass(read, memory.n))
 
-            track.sensory = gru_step(track.sensory, _grid(feats.sensory_input, dims), self.gru_weights)
+            track.sensory = gru_step(track.sensory, sensory_input, self.gru_weights)
             if cfg.deep_update_mode == "every_frame":
                 track.sensory = deep_update(
-                    track.sensory, _grid(feats.values, dims), self.deep_weights
+                    track.sensory, _grid(values, dims), self.deep_weights
                 )
 
             report = None
             if insert:
-                memory.append_frame(
-                    KeyBlock(query.data), shrinkage, ValueBlock(feats.values), frame_idx
-                )
+                memory.append_frame(KeyBlock(query.data), shrinkage, values, frame_idx)
                 if cfg.deep_update_mode == "every_rth":
                     track.sensory = deep_update(
-                        track.sensory, _grid(feats.values, dims), self.deep_weights
+                        track.sensory, _grid(values, dims), self.deep_weights
                     )
                 if not cfg.unbounded and memory.frame_count == cfg.t_max:
                     cand_keys, *cand_rest, cand_usage = memory.candidates(frame_idx)
@@ -296,24 +331,16 @@ class Pipeline:
             for track, feat, ev in zip(self.tracks, readouts, events)
         ]
 
-    # -- aggregate counters (summed across objects) --------------------------
 
-    @property
-    def wm_frames(self) -> int:
-        return max(t.working.frame_count for t in self.tracks)
-
-    @property
-    def wm_elements(self) -> int:
-        return sum(t.working.element_count for t in self.tracks)
-
-    @property
-    def lt_elements(self) -> int:
-        return sum(t.long_term.element_count for t in self.tracks)
+def _sensory_grid(raw, dims: FeatureDims) -> np.ndarray:
+    grid = np.asarray(raw, dtype=np.float32)
+    if not np.isfinite(grid).all():
+        raise ValidationError("contains non-finite entries")
+    return grid.reshape(-1, dims.h, dims.w)
 
 
-def _grid(flat_or_grid: np.ndarray, dims: FeatureDims) -> np.ndarray:
-    arr = np.asarray(flat_or_grid, dtype=np.float32)
-    return arr.reshape(arr.shape[0], dims.h, dims.w)
+def _grid(values: ValueBlock, dims: FeatureDims) -> np.ndarray:
+    return values.data.reshape(dims.c_v, dims.h, dims.w)
 
 
 def _sigmoid_probe(probe: np.ndarray, feat: np.ndarray) -> np.ndarray:

@@ -3,8 +3,10 @@
 A convolutional gated recurrent cell over the feature grid, updated from
 decoder-side features every frame. A second, independently weighted cell
 refreshes the same state from value-side features on insertion frames (the
-deep update). Weights are injected (seeded or loaded from file), never
-trained here.
+deep update). Weights are never trained here. `Pipeline` always seeds its
+own from the pipeline seed; `load_gru_weights` and `save_gru_weights` are
+standalone helpers for a flat weight file, which the pipeline does not
+read.
 
 Gates use k x k neighborhoods with zero padding (default k=1, i.e. a
 per-position linear map). Flattened patch rows are ordered channel-major,

@@ -134,7 +134,7 @@ def test_criterion_04_memory_bound_over_long_run():
         l_max=10_000, sensory_input_channels=4,
     )
     start = time.perf_counter()
-    _, rows, _ = run_stream(_frames(5000, seed=104), cfg, seed=104)
+    _, rows = run_stream(_frames(5000, seed=104), cfg, seed=104)
     elapsed = time.perf_counter() - start
     violations = sum(
         1
@@ -186,12 +186,12 @@ def test_criterion_05_bounded_read_latency_plateaus():
     )
     stream_args = dict(c_k=16, c_v=32, drift=0.002)
     with _gc_quiesced():
-        _, bounded_rows, _ = run_stream(
+        _, bounded_rows = run_stream(
             _frames(n_frames, seed=105, **stream_args),
             PipelineConfig(dims=dims, **shared),
             seed=105,
         )
-        _, unbounded_rows, _ = run_stream(
+        _, unbounded_rows = run_stream(
             _frames(n_frames, seed=105, **stream_args),
             PipelineConfig(dims=dims, unbounded=True, **shared),
             seed=105,
@@ -221,7 +221,7 @@ def test_criterion_06_latency_grows_with_long_term_cap():
             dims=_small_dims(c_k=16, c_v=64), r=1, t_min=5, t_max=10, p=128,
             top_k=30, l_max=cap, sensory_input_channels=4,
         )
-        _, rows, _ = run_stream(
+        _, rows = run_stream(
             _frames(frames, seed=106, c_k=16, c_v=64), cfg, seed=106
         )
         steady = [r.read_duration_ns for r in rows if r.frame_idx >= frames - 300]
@@ -269,7 +269,7 @@ def test_criterion_07_event_logs_match_bookkeeping_oracle():
             500, seed=1000 + trial,
             h=cfg.dims.h, w=cfg.dims.w, c_k=2, c_v=3, c_in=2, drift=0.1,
         )
-        _, _, events = run_stream(frames, cfg, seed=trial, collect_events=True)
+        _, events = run_stream(frames, cfg, seed=trial)
         expected = oracle_bookkeeping(cfg, 500)
         if format_event_log(events).encode() != format_event_log(expected).encode():
             mismatches += 1

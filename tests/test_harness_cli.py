@@ -1,10 +1,15 @@
+import csv
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+from xmem import FeatureDims, PipelineConfig
 from xmem.cli import main
+from xmem.harness import FrameRecord, run_stream, write_metrics_csv
+from xmem.oracle import BookkeepingRow, oracle_bookkeeping
+from xmem.stream import StreamHeader, synthetic_frames
 
 SMALL = [
     "--synthetic", "--small", "--ck", "4", "--cv", "4", "--ch", "4",
@@ -33,6 +38,35 @@ def test_run_writes_one_row_per_frame(tmp_path):
         total = int(row["total_elements"])
         assert total == int(row["wm_elements"]) + int(row["lt_elements"])
         assert total <= 4 * 64 + 50
+
+
+def test_multi_object_record_sums_tracks(tmp_path):
+    dims = FeatureDims(h=2, w=3, c_k=4, c_v=5, c_h=4)
+    cfg = PipelineConfig(
+        dims=dims, r=1, t_min=2, t_max=4, p=6, l_max=12, sensory_input_channels=3
+    )
+    header = StreamHeader(c_k=4, c_v=5, c_in=3, h=2, w=3, frame_count=60, object_count=3)
+    _, records = run_stream(synthetic_frames(8, header, 0.1), cfg, seed=8)
+    expected = oracle_bookkeeping(cfg, 60)
+    assert len(records) == len(expected) == 60
+    assert sum(e.evicted_count for e in expected) > 0
+    for got, want in zip(records, expected):
+        assert got.frame_idx == want.frame_idx
+        assert got.wm_elements == 3 * want.wm_elements
+        assert got.lt_elements == 3 * want.lt_elements
+        assert got.evicted_count == 3 * want.evicted_count
+        assert got.wm_frames == want.wm_frames
+        assert got.inserted == want.inserted
+        assert got.consolidated == want.consolidated
+    out = tmp_path / "m.csv"
+    write_metrics_csv(out, records)
+    with open(out, newline="") as f:
+        written = list(csv.DictReader(f))
+    assert written == [{k: str(v) for k, v in r.as_csv().items()} for r in records]
+
+
+def test_oracle_simulates_the_engine_record():
+    assert BookkeepingRow is FrameRecord
 
 
 def test_missing_metrics_out_is_usage_error():

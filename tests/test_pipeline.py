@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -10,6 +12,8 @@ from xmem import (
     FeatureDims,
     Pipeline,
     PipelineConfig,
+    ShapeError,
+    ValidationError,
     soft_aggregate,
 )
 from xmem.harness import run_stream
@@ -125,6 +129,77 @@ def test_frame_idx_must_increase():
         p.step(next(frames), 1)
 
 
+def _state(p):
+    """Everything a rejected frame must leave untouched, as bytes."""
+    tracks = []
+    for t in p.tracks:
+        m, n = t.memory, t.memory.n
+        tracks.append((n, m.usage[:n].tobytes(), m.operand[:, :n].tobytes(),
+                       m.values[:n].tobytes(), t.sensory.h.tobytes()))
+    return p.last_frame_idx, tracks
+
+
+def _nan(arr):
+    bad = np.array(arr, copy=True)
+    bad.flat[-1] = np.nan
+    return bad
+
+
+# (objects, deep-update mode, frame, object, field, corruption, error); with
+# r 2, frame 1 reads only and frame 2 inserts
+BAD_FRAMES = {
+    "nan values, second object, insertion": (
+        2, "every_rth", 2, 1, "values", _nan, ValidationError),
+    "nan values, one object, insertion": (
+        1, "every_rth", 2, 0, "values", _nan, ValidationError),
+    "nan query, second object": (
+        2, "every_rth", 1, 1, "raw_query", _nan, ValidationError),
+    "nan sensory input": (
+        1, "every_rth", 1, 0, "sensory_input", _nan, ValidationError),
+    "short shrinkage, no insertion": (
+        2, "every_rth", 1, 1, "raw_shrinkage", lambda a: a[:-1], ShapeError),
+    "nan values, every-frame deep update": (
+        1, "every_frame", 1, 0, "values", _nan, ValidationError),
+    "short sensory input": (
+        2, "every_rth", 1, 1, "sensory_input", lambda a: a[:, :-1], ShapeError),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_FRAMES))
+def test_rejected_frame_changes_no_state(case):
+    objects, mode, bad_idx, obj, field, corrupt, error = BAD_FRAMES[case]
+    cfg = _config(r=2, t_min=2, t_max=4, p=6, l_max=30, deep_update_mode=mode)
+    frames = list(_frames(5, objects=objects, seed=9))
+    p = Pipeline(cfg, frames[0])
+    ref = Pipeline(cfg, frames[0])
+    for idx in range(1, bad_idx):
+        p.step(frames[idx], idx)
+        ref.step(frames[idx], idx)
+    bad = list(frames[bad_idx])
+    bad[obj] = dataclasses.replace(bad[obj], **{field: corrupt(getattr(bad[obj], field))})
+    before = _state(p)
+    with pytest.raises(error, match=f"^object {obj}: {field}"):
+        p.step(bad, bad_idx)
+    assert _state(p) == before
+    # the same frame index then steps as if the bad frame never came
+    for idx in range(bad_idx, 5):
+        got, want = p.step(frames[idx], idx), ref.step(frames[idx], idx)
+        for g, w in zip(got, want):
+            assert g.readout.tobytes() == w.readout.tobytes()
+            assert g.events == w.events
+    assert _state(p) == _state(ref)
+
+
+def test_unused_values_are_not_checked():
+    # frame 1 neither inserts nor deep-updates, so its values are never read
+    cfg = _config(r=2, t_min=2, t_max=4, p=6, l_max=30)
+    frames = _frames(2, seed=9)
+    p = Pipeline(cfg, next(frames))
+    (feats,) = next(frames)
+    p.step([dataclasses.replace(feats, values=_nan(feats.values))], 1)
+    assert p.last_frame_idx == 1
+
+
 def test_event_log_matches_bookkeeping_oracle():
     rng = np.random.default_rng(60)
     for trial in range(8):
@@ -139,16 +214,14 @@ def test_event_log_matches_bookkeeping_oracle():
             insert_offset=int(rng.integers(0, r)),
             top_k=int(rng.integers(1, 20)),
         )
-        _, _, events = run_stream(
-            _frames(150, seed=trial), cfg, seed=trial, collect_events=True
-        )
+        _, events = run_stream(_frames(150, seed=trial), cfg, seed=trial)
         expected = oracle_bookkeeping(cfg, 150)
         assert format_event_log(events) == format_event_log(expected)
 
 
 def test_memory_bound_holds_throughout():
     cfg = _config(r=2, t_min=2, t_max=4, p=6, l_max=30)
-    _, rows, _ = run_stream(_frames(300), cfg)
+    _, rows = run_stream(_frames(300), cfg)
     cap = cfg.t_max * DIMS.hw() + cfg.l_max
     for row in rows:
         assert row.total_elements == row.wm_elements + row.lt_elements
@@ -243,7 +316,7 @@ def test_step_readout_matches_oracle_after_consolidations():
 
 def test_unbounded_mode_grows_linearly():
     cfg = _config(r=5, t_min=2, t_max=4, p=4, l_max=30, unbounded=True)
-    _, rows, _ = run_stream(_frames(60), cfg)
+    _, rows = run_stream(_frames(60), cfg)
     hw = DIMS.hw()
     for row in rows:
         assert row.lt_elements == 0
@@ -271,7 +344,7 @@ def test_deterministic_replay_is_bitwise():
 @pytest.mark.parametrize("strategy", ["usage", "random", "kmeans"])
 def test_strategies_share_bookkeeping(strategy):
     cfg = _config(r=1, t_min=2, t_max=4, p=3, l_max=12, prototype_strategy=strategy)
-    _, _, events = run_stream(_frames(30), cfg, collect_events=True)
+    _, events = run_stream(_frames(30), cfg)
     expected = oracle_bookkeeping(cfg, 30)
     assert format_event_log(events) == format_event_log(expected)
 

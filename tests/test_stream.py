@@ -138,7 +138,7 @@ def test_snapshot_roundtrip(tmp_path):
     cfg = PipelineConfig(
         dims=dims, r=1, t_min=2, t_max=4, p=3, l_max=9, sensory_input_channels=2
     )
-    pipeline, _, _ = run_stream(synthetic_frames(5, header, 0.2), cfg)
+    pipeline, _ = run_stream(synthetic_frames(5, header, 0.2), cfg)
     path = tmp_path / "lt.xmlt"
     write_lt_snapshot(path, pipeline.tracks)
     snaps = read_lt_snapshot(path)
@@ -161,7 +161,7 @@ def test_single_channel_snapshot_keeps_its_rows(tmp_path, c_k, c_v):
     cfg = PipelineConfig(
         dims=dims, r=1, t_min=2, t_max=4, p=3, l_max=9, sensory_input_channels=2
     )
-    pipeline, _, _ = run_stream(synthetic_frames(3, header, 0.2), cfg)
+    pipeline, _ = run_stream(synthetic_frames(3, header, 0.2), cfg)
     path = tmp_path / "lt.xmlt"
     write_lt_snapshot(path, pipeline.tracks)
     (snap,) = read_lt_snapshot(path)
@@ -219,7 +219,7 @@ def test_single_channel_fields_keep_their_rows(tmp_path):
         assert feats.values.shape == (1, 6)
         assert feats.sensory_input.shape == (1, 6)
     cfg = PipelineConfig(dims=header.dims(c_h=1), r=1, t_min=2, t_max=3, p=2, l_max=4)
-    _, rows, _ = run_stream(iter_frames(path), cfg)
+    _, rows = run_stream(iter_frames(path), cfg)
     assert len(rows) == 3
 
 
@@ -265,7 +265,7 @@ def _snapshot(tmp_path, monkeypatch):
         dims=header.dims(c_h=2), r=1, t_min=2, t_max=4, p=3, l_max=9,
         sensory_input_channels=2,
     )
-    pipeline, _, _ = run_stream(synthetic_frames(5, header, 0.2), cfg)
+    pipeline, _ = run_stream(synthetic_frames(5, header, 0.2), cfg)
     path = tmp_path / "lt.xmlt"
     write_lt_snapshot(path, pipeline.tracks)
 
