@@ -51,6 +51,6 @@ from .pipeline import (
     PipelineConfig,
     soft_aggregate,
 )
-from .sensory import GruWeights, SensoryState, deep_update, gru_step, load_gru_weights, save_gru_weights
+from .sensory import GruWeights, SensoryState, deep_update, gru_step
 
 __version__ = "0.1.0"

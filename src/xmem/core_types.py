@@ -209,7 +209,11 @@ def map_selection(raw) -> SelectionBlock:
         raise ShapeError(f"raw selection must be 2-D, got shape {arr.shape}")
     if arr.size and not np.isfinite(arr).all():
         raise ValidationError("raw selection contains non-finite entries")
-    # exp overflow for very negative raw saturates to 0, which is the correct limit
+    return SelectionBlock(sigmoid(arr))
+
+
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic 1 / (1 + exp(-x)), in the dtype of x."""
+    # exp overflow for very negative x saturates to 0, which is the correct limit
     with np.errstate(over="ignore"):
-        out = 1.0 / (1.0 + np.exp(-arr))
-    return SelectionBlock(out)
+        return 1.0 / (1.0 + np.exp(-x))

@@ -33,6 +33,7 @@ from .core_types import (
     ValueBlock,
     map_selection,
     map_shrinkage,
+    sigmoid,
 )
 from .long_term_memory import (
     ConsolidationReport,
@@ -106,8 +107,7 @@ class ObjectFeatures:
     """One frame's raw encoder-side features for a single object.
 
     Query and shrinkage/selection arrive unmapped; the pipeline applies the
-    range mappings on ingestion. Shapes: raw_query and raw_selection are
-    (c_k, hw), raw_shrinkage (hw,), values (c_v, hw), sensory_input (c_in, hw).
+    range mappings on ingestion. Shapes are given by `shapes`.
     """
 
     raw_query: np.ndarray
@@ -115,6 +115,17 @@ class ObjectFeatures:
     raw_selection: np.ndarray
     values: np.ndarray
     sensory_input: np.ndarray
+
+    @staticmethod
+    def shapes(c_k: int, c_v: int, c_in: int, hw: int) -> dict[str, tuple[int, ...]]:
+        """Each field's shape, in field order, which is also the stream's block order."""
+        return {
+            "raw_query": (c_k, hw),
+            "raw_shrinkage": (hw,),
+            "raw_selection": (c_k, hw),
+            "values": (c_v, hw),
+            "sensory_input": (c_in, hw),
+        }
 
 
 @dataclass
@@ -196,16 +207,12 @@ class Pipeline:
         )
 
         self.tracks: list[ObjectTrack] = []
-        for obj_id, feats in enumerate(first_frame):
+        ingested = self._ingest(first_frame, insert=True)
+        for obj_id, (query, shrinkage, _, values, _) in enumerate(ingested):
             memory = TrackMemory(
                 dims, config.t_min, config.t_max, config.l_max, config.unbounded
             )
-            memory.append_frame(
-                KeyBlock(feats.raw_query),
-                map_shrinkage(feats.raw_shrinkage),
-                ValueBlock(feats.values),
-                frame_idx=0,
-            )
+            memory.append_frame(KeyBlock(query.data), shrinkage, values, frame_idx=0)
             self.tracks.append(
                 ObjectTrack(
                     object_id=obj_id,
@@ -238,31 +245,31 @@ class Pipeline:
 
         All five fields must have their documented shapes; the fields the
         frame uses must be finite (values only on frames that insert or
-        deep-update from them). Returns per object the query, selection,
-        shrinkage, values (None when unused) and sensory input grid.
+        deep-update from them). Returns per object, in field order, the query,
+        shrinkage, selection, values (None when unused) and sensory input grid.
         """
         cfg = self.config
         dims = cfg.dims
-        hw = dims.hw()
+        shapes = ObjectFeatures.shapes(dims.c_k, dims.c_v, cfg.sensory_channels, dims.hw())
         use_values = insert or cfg.deep_update_mode == "every_frame"
-        # (field, shape, mapper); a mapper raises ValidationError on bad entries
-        fields = (
-            ("raw_query", (dims.c_k, hw), QueryBlock),
-            ("raw_selection", (dims.c_k, hw), map_selection),
-            ("raw_shrinkage", (hw,), map_shrinkage),
-            ("values", (dims.c_v, hw), ValueBlock if use_values else lambda _: None),
-            ("sensory_input", (cfg.sensory_channels, hw), lambda x: _sensory_grid(x, dims)),
-        )
+        # by field name; a mapper raises ValidationError on bad entries
+        mappers = {
+            "raw_query": QueryBlock,
+            "raw_shrinkage": map_shrinkage,
+            "raw_selection": map_selection,
+            "values": ValueBlock if use_values else lambda _: None,
+            "sensory_input": lambda x: _sensory_grid(x, dims),
+        }
         ingested = []
         for obj, feats in enumerate(features):
-            for name, shape, _ in fields:
+            for name, shape in shapes.items():
                 got = np.shape(getattr(feats, name))
                 if got != shape:
                     raise ShapeError(f"object {obj}: {name} has shape {got}, want {shape}")
             mapped = []
-            for name, _, mapper in fields:
+            for name in shapes:
                 try:
-                    mapped.append(mapper(getattr(feats, name)))
+                    mapped.append(mappers[name](getattr(feats, name)))
                 except ValidationError as err:
                     raise ValidationError(f"object {obj}: {name}: {err}") from None
             ingested.append(tuple(mapped))
@@ -287,7 +294,7 @@ class Pipeline:
         probs = np.empty((len(self.tracks), dims.hw()), dtype=np.float32)
         read_ns = 0
 
-        for track, (query, selection, shrinkage, values, sensory_input) in zip(
+        for track, (query, shrinkage, selection, values, sensory_input) in zip(
             self.tracks, ingested
         ):
             memory = track.memory
@@ -321,7 +328,7 @@ class Pipeline:
                     )
             evicted = report.evicted_count if report else 0
             events.append(FrameEvents(insert, report is not None, evicted, report))
-            probs[track.object_id] = _sigmoid_probe(self.probe, feat)
+            probs[track.object_id] = sigmoid(self.probe @ feat)
 
         fused = soft_aggregate(probs)
         self.last_frame_idx = frame_idx
@@ -341,9 +348,3 @@ def _sensory_grid(raw, dims: FeatureDims) -> np.ndarray:
 
 def _grid(values: ValueBlock, dims: FeatureDims) -> np.ndarray:
     return values.data.reshape(dims.c_v, dims.h, dims.w)
-
-
-def _sigmoid_probe(probe: np.ndarray, feat: np.ndarray) -> np.ndarray:
-    logits = probe @ feat
-    with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-logits))

@@ -1,27 +1,20 @@
 """Recurrent per-frame hidden state.
 
-A convolutional gated recurrent cell over the feature grid, updated from
-decoder-side features every frame. A second, independently weighted cell
-refreshes the same state from value-side features on insertion frames (the
-deep update). Weights are never trained here. `Pipeline` always seeds its
-own from the pipeline seed; `load_gru_weights` and `save_gru_weights` are
-standalone helpers for a flat weight file, which the pipeline does not
-read.
-
-Gates use k x k neighborhoods with zero padding (default k=1, i.e. a
-per-position linear map). Flattened patch rows are ordered channel-major,
-then (dy, dx) row-major; weight files must follow the same layout.
+A gated recurrent cell applied at every grid position on its own: the gates
+are linear maps over the stacked [input; hidden] channels of that position,
+updated from decoder-side features every frame. A second, independently
+weighted cell refreshes the same state from value-side features on insertion
+frames (the deep update). Weights are never trained here; `Pipeline` seeds
+its own from the pipeline seed.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-from pathlib import Path
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core_types import ConfigError, ShapeError
+from .core_types import ShapeError, sigmoid
 
 
 @dataclass(frozen=True)
@@ -46,10 +39,10 @@ class SensoryState:
 
 @dataclass(frozen=True)
 class GruWeights:
-    """Per-gate linear maps over the concatenated [input, hidden] patch.
+    """Per-gate linear maps over the stacked [input; hidden] channels.
 
-    Each weight has shape (c_h, (input_channels + c_h) * kernel_size**2);
-    biases have shape (c_h,).
+    Each weight has shape (c_h, c_in + c_h), input channels first; biases
+    have shape (c_h,). Both channel counts are read from w_z and b_z.
     """
 
     w_z: np.ndarray
@@ -58,39 +51,40 @@ class GruWeights:
     b_r: np.ndarray
     w_h: np.ndarray
     b_h: np.ndarray
-    input_channels: int
-    hidden_channels: int
-    kernel_size: int = 1
 
     def __post_init__(self):
-        if self.kernel_size < 1 or self.kernel_size % 2 == 0:
-            raise ConfigError(f"kernel_size must be odd and >= 1, got {self.kernel_size}")
-        cols = (self.input_channels + self.hidden_channels) * self.kernel_size**2
-        for name in ("w_z", "w_r", "w_h"):
-            w = np.ascontiguousarray(getattr(self, name), dtype=np.float32)
-            if w.shape != (self.hidden_channels, cols):
-                raise ShapeError(
-                    f"{name} has shape {w.shape}, want ({self.hidden_channels}, {cols})"
-                )
-            object.__setattr__(self, name, w)
-        for name in ("b_z", "b_r", "b_h"):
-            b = np.ascontiguousarray(getattr(self, name), dtype=np.float32)
-            if b.shape != (self.hidden_channels,):
-                raise ShapeError(f"{name} has shape {b.shape}, want ({self.hidden_channels},)")
-            object.__setattr__(self, name, b)
+        names = [f.name for f in fields(self)]
+        for name in names:
+            arr = np.ascontiguousarray(getattr(self, name), dtype=np.float32)
+            object.__setattr__(self, name, arr)
+        if self.b_z.ndim != 1 or self.w_z.ndim != 2:
+            raise ShapeError(f"w_z {self.w_z.shape} must be 2-D and b_z {self.b_z.shape} 1-D")
+        c_h, cols = self.hidden_channels, self.w_z.shape[1]
+        for name in names:
+            want = (c_h, cols) if name[0] == "w" else (c_h,)
+            got = getattr(self, name).shape
+            if got != want:
+                raise ShapeError(f"{name} has shape {got}, want {want}")
+
+    @property
+    def input_channels(self) -> int:
+        return self.w_z.shape[1] - self.hidden_channels
+
+    @property
+    def hidden_channels(self) -> int:
+        return self.b_z.shape[0]
 
     @classmethod
     def seeded(
         cls,
         input_channels: int,
         hidden_channels: int,
-        kernel_size: int = 1,
         seed: int | np.random.SeedSequence = 0,
         scale: float | None = None,
     ) -> "GruWeights":
         """Uniform(-s, s) weights with s = 1/sqrt(fan_in) unless overridden."""
         rng = np.random.default_rng(seed)
-        cols = (input_channels + hidden_channels) * kernel_size**2
+        cols = input_channels + hidden_channels
         s = scale if scale is not None else 1.0 / np.sqrt(cols)
 
         def w():
@@ -99,28 +93,7 @@ class GruWeights:
         def b():
             return rng.uniform(-s, s, size=hidden_channels).astype(np.float32)
 
-        return cls(w(), b(), w(), b(), w(), b(), input_channels, hidden_channels, kernel_size)
-
-
-def _patches(grid: np.ndarray, kernel_size: int) -> np.ndarray:
-    """Flatten k x k zero-padded neighborhoods to (C * k * k, H * W)."""
-    c, height, width = grid.shape
-    if kernel_size == 1:
-        return grid.reshape(c, height * width)
-    pad = kernel_size // 2
-    padded = np.pad(grid, ((0, 0), (pad, pad), (pad, pad)))
-    rows = [
-        padded[ch, dy : dy + height, dx : dx + width].reshape(height * width)
-        for ch in range(c)
-        for dy in range(kernel_size)
-        for dx in range(kernel_size)
-    ]
-    return np.stack(rows)
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-x))
+        return cls(w(), b(), w(), b(), w(), b())
 
 
 def gru_step(state: SensoryState, x: np.ndarray, weights: GruWeights) -> SensoryState:
@@ -143,15 +116,14 @@ def gru_step(state: SensoryState, x: np.ndarray, weights: GruWeights) -> Sensory
             f"state has {h.shape[0]} channels, weights expect {weights.hidden_channels}"
         )
     c_h, height, width = h.shape
-    k = weights.kernel_size
-
-    p_xh = np.concatenate([_patches(x, k), _patches(h, k)])
-    z = _sigmoid(weights.w_z @ p_xh + weights.b_z[:, None])
-    r = _sigmoid(weights.w_r @ p_xh + weights.b_r[:, None])
-    h_reset = r.reshape(c_h, height, width) * h
-    p_cand = np.concatenate([_patches(x, k), _patches(h_reset, k)])
-    cand = np.tanh(weights.w_h @ p_cand + weights.b_h[:, None])
+    x_flat = x.reshape(x.shape[0], height * width)
     h_flat = h.reshape(c_h, height * width)
+
+    xh = np.concatenate([x_flat, h_flat])
+    z = sigmoid(weights.w_z @ xh + weights.b_z[:, None])
+    r = sigmoid(weights.w_r @ xh + weights.b_r[:, None])
+    x_reset = np.concatenate([x_flat, r * h_flat])
+    cand = np.tanh(weights.w_h @ x_reset + weights.b_h[:, None])
     new = (1.0 - z) * h_flat + z * cand
     return SensoryState(new.reshape(c_h, height, width))
 
@@ -165,51 +137,3 @@ def deep_update(
     into the working memory (or per the configured schedule).
     """
     return gru_step(state, value_features, deep_weights)
-
-
-def save_gru_weights(weights: GruWeights, path: str | Path) -> None:
-    """Write flat float32 little-endian arrays plus a JSON shape sidecar."""
-    path = Path(path)
-    arrays = [
-        ("w_z", weights.w_z), ("b_z", weights.b_z),
-        ("w_r", weights.w_r), ("b_r", weights.b_r),
-        ("w_h", weights.w_h), ("b_h", weights.b_h),
-    ]
-    meta = {
-        "input_channels": weights.input_channels,
-        "hidden_channels": weights.hidden_channels,
-        "kernel_size": weights.kernel_size,
-        "arrays": [],
-    }
-    offset = 0
-    with open(path, "wb") as f:
-        for name, arr in arrays:
-            raw = arr.astype("<f4").tobytes()
-            f.write(raw)
-            meta["arrays"].append(
-                {"name": name, "shape": list(arr.shape), "offset_bytes": offset}
-            )
-            offset += len(raw)
-    with open(path.with_suffix(path.suffix + ".json"), "w") as f:
-        json.dump(meta, f, indent=2)
-
-
-def load_gru_weights(path: str | Path) -> GruWeights:
-    path = Path(path)
-    with open(path.with_suffix(path.suffix + ".json")) as f:
-        meta = json.load(f)
-    blob = path.read_bytes()
-    fields = {}
-    for entry in meta["arrays"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        start = entry["offset_bytes"]
-        arr = np.frombuffer(blob, dtype="<f4", count=count, offset=start)
-        fields[entry["name"]] = arr.reshape(shape).copy()
-    return GruWeights(
-        fields["w_z"], fields["b_z"], fields["w_r"], fields["b_r"],
-        fields["w_h"], fields["b_h"],
-        input_channels=meta["input_channels"],
-        hidden_channels=meta["hidden_channels"],
-        kernel_size=meta["kernel_size"],
-    )

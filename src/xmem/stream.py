@@ -4,7 +4,7 @@ Stream layout (all integers u32 little-endian, all payloads float32
 little-endian):
 
     magic "XMFS" | version | c_k | c_v | c_in | h | w | frame_count | object_count
-    then per frame, per object:
+    then per frame, per object, in `ObjectFeatures.shapes` order:
         raw_query     c_k * h * w
         raw_shrinkage       h * w
         raw_selection c_k * h * w
@@ -20,6 +20,7 @@ that usage is float64 so the counters round-trip exactly.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -57,13 +58,13 @@ class StreamHeader:
     def hw(self) -> int:
         return self.h * self.w
 
-    @property
-    def floats_per_object(self) -> int:
-        return (2 * self.c_k + self.c_v + self.c_in + 1) * self.hw
+    def shapes(self) -> dict[str, tuple[int, ...]]:
+        """Each object's blocks in stream order, by field name."""
+        return ObjectFeatures.shapes(self.c_k, self.c_v, self.c_in, self.hw)
 
     @property
     def bytes_per_object(self) -> int:
-        return 4 * self.floats_per_object
+        return 4 * sum(math.prod(shape) for shape in self.shapes().values())
 
     def dims(self, c_h: int = 64) -> FeatureDims:
         return FeatureDims(h=self.h, w=self.w, c_k=self.c_k, c_v=self.c_v, c_h=c_h)
@@ -105,14 +106,7 @@ def read_header(path: str | Path) -> StreamHeader:
 def iter_frames(path: str | Path) -> Iterator[list[ObjectFeatures]]:
     """Yield per-frame object feature lists, reading lazily."""
     header = read_header(path)
-    hw = header.hw
-    shapes = [
-        ("raw_query", (header.c_k, hw)),
-        ("raw_shrinkage", (hw,)),
-        ("raw_selection", (header.c_k, hw)),
-        ("values", (header.c_v, hw)),
-        ("sensory_input", (header.c_in, hw)),
-    ]
+    shapes = header.shapes()
     frame_bytes = header.object_count * header.bytes_per_object
     with open(path, "rb") as f:
         f.seek(_HEADER.size)
@@ -125,8 +119,8 @@ def iter_frames(path: str | Path) -> Iterator[list[ObjectFeatures]]:
                 )
                 fields = {}
                 offset = 0
-                for name, shape in shapes:
-                    count = int(np.prod(shape))
+                for name, shape in shapes.items():
+                    count = math.prod(shape)
                     arr = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
                     fields[name] = arr.reshape(shape).copy()
                     offset += 4 * count
@@ -137,6 +131,7 @@ def iter_frames(path: str | Path) -> Iterator[list[ObjectFeatures]]:
 def write_stream(
     path: str | Path, header: StreamHeader, frames: Iterable[list[ObjectFeatures]]
 ) -> None:
+    fields = header.shapes()
     written = 0
     with open(path, "wb") as f:
         f.write(header.pack())
@@ -146,11 +141,8 @@ def write_stream(
                     f"frame has {len(objects)} objects, header says {header.object_count}"
                 )
             for feats in objects:
-                for arr in (
-                    feats.raw_query, feats.raw_shrinkage, feats.raw_selection,
-                    feats.values, feats.sensory_input,
-                ):
-                    f.write(np.asarray(arr, dtype="<f4").tobytes())
+                for name in fields:
+                    f.write(np.asarray(getattr(feats, name), dtype="<f4").tobytes())
             written += 1
     if written != header.frame_count:
         raise ValueError(f"wrote {written} frames, header says {header.frame_count}")
@@ -170,14 +162,9 @@ def synthetic_frames(
     if drift < 0:
         raise ValueError(f"drift must be >= 0, got {drift}")
     rng = np.random.default_rng(seed)
-    hw = header.hw
     step = np.float32(drift)
-    shapes = [
-        (header.c_k, hw), (hw,), (header.c_k, hw),
-        (header.c_v, hw), (header.c_in, hw),
-    ]
     states = [
-        [rng.standard_normal(shape, dtype=np.float32) for shape in shapes]
+        [rng.standard_normal(shape, dtype=np.float32) for shape in header.shapes().values()]
         for _ in range(header.object_count)
     ]
     for frame in range(header.frame_count):

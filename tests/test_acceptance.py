@@ -342,7 +342,7 @@ def test_criterion_09_potentiation_hull_and_singleton():
 def test_criterion_10_gru_boundedness_and_determinism():
     def trajectory():
         rng = np.random.default_rng(110)
-        weights = GruWeights.seeded(6, 8, kernel_size=1, seed=110)
+        weights = GruWeights.seeded(6, 8, seed=110)
         state = SensoryState.zeros(8, 6, 5)
         peak = 0.0
         for _ in range(1000):

@@ -1,6 +1,7 @@
 """Import layering of the engine package, read from the source with `ast`."""
 
 import ast
+import sys
 from pathlib import Path
 
 import xmem
@@ -31,3 +32,14 @@ def test_only_the_oracle_module_is_the_oracle():
         and "xmem.oracle" in _imported_modules(ast.parse(path.read_text(), str(path)))
     ]
     assert offenders == [], f"engine modules import xmem.oracle: {offenders}"
+
+
+def test_runtime_imports_are_stdlib_and_numpy_only():
+    allowed = set(sys.stdlib_module_names) | {"numpy", "xmem"}
+    offenders = sorted(
+        f"{path.name}: {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name in _imported_modules(ast.parse(path.read_text(), str(path)))
+        if name.split(".")[0] not in allowed
+    )
+    assert offenders == [], f"engine modules import undeclared dependencies: {offenders}"

@@ -200,6 +200,25 @@ def test_unused_values_are_not_checked():
     assert p.last_frame_idx == 1
 
 
+# frame 0 seeds the memory, and its inputs are checked like any later frame's
+BAD_FIRST_FRAMES = {
+    "tiny selection": ("raw_selection", lambda a: np.zeros((1, 1), np.float32), ShapeError),
+    "nan selection": ("raw_selection", _nan, ValidationError),
+    "nan sensory input, wrong shape": (
+        "sensory_input", lambda a: np.full((7, 1), np.nan, np.float32), ShapeError),
+    "nan sensory input": ("sensory_input", _nan, ValidationError),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_FIRST_FRAMES))
+def test_first_frame_is_checked(case):
+    field, corrupt, error = BAD_FIRST_FRAMES[case]
+    first = list(next(_frames(1, objects=2)))
+    first[1] = dataclasses.replace(first[1], **{field: corrupt(getattr(first[1], field))})
+    with pytest.raises(error, match=f"^object 1: {field}"):
+        Pipeline(_config(), first)
+
+
 def test_event_log_matches_bookkeeping_oracle():
     rng = np.random.default_rng(60)
     for trial in range(8):

@@ -1,18 +1,19 @@
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from xmem import GruWeights, SensoryState, deep_update, gru_step
-from xmem.core_types import ConfigError, ShapeError
+from xmem.core_types import ShapeError
 from xmem.oracle import oracle_gru_step
-from xmem.sensory import load_gru_weights, save_gru_weights
 
 C_X, C_H = 3, 4
 GRID = (C_H, 5, 6)
 
 
-def _weights(seed=0, kernel_size=1, scale=None):
-    return GruWeights.seeded(C_X, C_H, kernel_size=kernel_size, seed=seed, scale=scale)
+def _weights(seed=0, scale=None):
+    return GruWeights.seeded(C_X, C_H, seed=seed, scale=scale)
 
 
 def _state(rng):
@@ -29,8 +30,7 @@ def test_closed_update_gate_is_identity():
     w = _weights()
     # a hugely negative update-gate bias pins z to 0
     closed = GruWeights(
-        w.w_z, np.full(C_H, -1e9, dtype=np.float32), w.w_r, w.b_r, w.w_h, w.b_h,
-        C_X, C_H, 1,
+        w.w_z, np.full(C_H, -1e9, dtype=np.float32), w.w_r, w.b_r, w.w_h, w.b_h
     )
     state = _state(rng)
     x = rng.normal(size=(C_X, 5, 6)).astype(np.float32)
@@ -41,23 +41,20 @@ def test_closed_update_gate_is_identity():
 def test_zero_weights_halve_the_state():
     zeros_w = np.zeros((C_H, C_X + C_H), dtype=np.float32)
     zeros_b = np.zeros(C_H, dtype=np.float32)
-    w = GruWeights(zeros_w, zeros_b, zeros_w, zeros_b, zeros_w, zeros_b, C_X, C_H, 1)
+    w = GruWeights(zeros_w, zeros_b, zeros_w, zeros_b, zeros_w, zeros_b)
     rng = np.random.default_rng(51)
     state = _state(rng)
     out = gru_step(state, np.zeros((C_X, 5, 6), dtype=np.float32), w)
     npt.assert_allclose(out.h, 0.5 * state.h, atol=1e-6)
 
 
-@pytest.mark.parametrize("kernel_size", [1, 3])
-def test_matches_scalar_oracle(kernel_size):
+def test_matches_scalar_oracle():
     rng = np.random.default_rng(52)
-    w = _weights(seed=3, kernel_size=kernel_size)
+    w = _weights(seed=3)
     state = _state(rng)
     x = rng.normal(size=(C_X, 5, 6)).astype(np.float32)
     out = gru_step(state, x, w)
-    ref = oracle_gru_step(
-        state.h, x, w.w_z, w.b_z, w.w_r, w.b_r, w.w_h, w.b_h, kernel_size
-    )
+    ref = oracle_gru_step(state.h, x, w.w_z, w.b_z, w.w_r, w.b_r, w.w_h, w.b_h)
     npt.assert_allclose(out.h, ref, atol=1e-5)
 
 
@@ -67,7 +64,7 @@ def test_deep_update_matches_scalar_oracle():
     state = _state(rng)
     x = rng.normal(size=(7, 5, 6)).astype(np.float32)
     out = deep_update(state, x, w)
-    ref = oracle_gru_step(state.h, x, w.w_z, w.b_z, w.w_r, w.b_r, w.w_h, w.b_h, 1)
+    ref = oracle_gru_step(state.h, x, w.w_z, w.b_z, w.w_r, w.b_r, w.w_h, w.b_h)
     npt.assert_allclose(out.h, ref, atol=1e-5)
 
 
@@ -99,7 +96,6 @@ def test_zero_input_zero_bias_state_decays():
         w.w_z, np.zeros(C_H, dtype=np.float32),
         w.w_r, np.zeros(C_H, dtype=np.float32),
         w.w_h, np.zeros(C_H, dtype=np.float32),
-        C_X, C_H, 1,
     )
     rng = np.random.default_rng(56)
     state = _state(rng)
@@ -122,17 +118,16 @@ def test_shape_mismatches_raise():
         gru_step(state, rng.normal(size=(C_X, 4, 6)).astype(np.float32), w)
 
 
-def test_even_kernel_rejected():
-    with pytest.raises(ConfigError):
-        GruWeights.seeded(C_X, C_H, kernel_size=2)
+def test_channel_counts_come_from_the_arrays():
+    w = GruWeights.seeded(7, C_H, seed=10)
+    assert (w.input_channels, w.hidden_channels) == (7, C_H)
+    assert w.w_h.shape == (C_H, 7 + C_H)
 
 
-def test_weight_file_roundtrip_is_bitwise(tmp_path):
-    w = _weights(seed=8, kernel_size=3)
-    path = tmp_path / "gru.bin"
-    save_gru_weights(w, path)
-    loaded = load_gru_weights(path)
-    for name in ("w_z", "b_z", "w_r", "b_r", "w_h", "b_h"):
-        assert getattr(w, name).tobytes() == getattr(loaded, name).tobytes()
-    assert loaded.kernel_size == 3
-    assert loaded.input_channels == C_X
+@pytest.mark.parametrize("name", ["w_z", "b_z", "w_r", "b_r", "w_h", "b_h"])
+def test_weight_shape_mismatch_raises(name):
+    w = _weights()
+    arrays = dataclasses.asdict(w)
+    arrays[name] = arrays[name][..., :-1]
+    with pytest.raises(ShapeError):
+        GruWeights(**arrays)
