@@ -32,10 +32,33 @@ class ConsolidationReport:
     prototype_count: int
     evicted_count: int
     candidate_elements: int
+    # summed usage of the evicted long-term elements, before eviction
+    evicted_usage: float = 0.0
 
     @property
     def compression_ratio(self) -> float:
         return self.candidate_elements / self.prototype_count
+
+
+def lowest(values: np.ndarray, count: int) -> np.ndarray:
+    """Indices of the min(count, n) smallest values, ascending.
+
+    Ties resolve toward the lower index, so this is exactly the head of a
+    stable sort by value, put back in index order. It is a selection, one
+    partition and a few linear passes, not a sort. values must not hold NaN.
+    """
+    values = np.asarray(values)
+    n = values.shape[0]
+    count = min(count, n)
+    if count <= 0:
+        return np.zeros(0, dtype=np.intp)
+    if count == n:
+        return np.arange(n)
+    bound = np.partition(values, count - 1)[count - 1]
+    picked = values < bound
+    ties = np.flatnonzero(values == bound)
+    picked[ties[: count - np.count_nonzero(picked)]] = True
+    return np.flatnonzero(picked)
 
 
 def select_prototypes(
@@ -50,10 +73,7 @@ def select_prototypes(
         raise ShapeError(
             f"usage has shape {usage.shape}, want ({candidate_keys.n},)"
         )
-    if candidate_keys.n == 0:
-        return []
-    order = np.argsort(-usage, kind="stable")
-    return sorted(int(i) for i in order[: min(p, candidate_keys.n)])
+    return lowest(-usage, p).tolist()
 
 
 def select_random(
@@ -91,16 +111,14 @@ def select_kmeans(
             members = pts[assign == c]
             if len(members):
                 centroids[c] = members.mean(axis=0)
-    taken: set[int] = set()
-    picked = []
+    taken = np.zeros(n, dtype=bool)
     for c in range(count):
         # exact differences here: a two-member centroid is equidistant from
-        # both members, and that tie must resolve to the lower index
-        order = np.argsort(((pts - centroids[c]) ** 2).sum(axis=1), kind="stable")
-        nearest = next(int(i) for i in order if int(i) not in taken)
-        taken.add(nearest)
-        picked.append(nearest)
-    return sorted(picked)
+        # both members, and argmin resolves that tie to the lower index
+        dist = ((pts - centroids[c]) ** 2).sum(axis=1)
+        dist[taken] = np.inf
+        taken[dist.argmin()] = True
+    return np.flatnonzero(taken).tolist()
 
 
 def potentiate(

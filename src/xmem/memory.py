@@ -18,7 +18,8 @@ This module alone knows the layout. Blocks go in and come out channel-major
 (one column per element, as everywhere else); only `read` hands out the
 operand and the raw element-major value rows, for the read path. Every row
 is written by `_put`, which derives the operand column from the key and
-shrinkage it writes, so the operand never goes stale. Contents are validated
+shrinkage it writes, or moved by `_move`, which moves its operand column
+with it, so the operand never goes stale. Contents are validated
 once, by the blocks passed to `append_frame` and `commit`, never again on a
 read.
 
@@ -42,7 +43,7 @@ from .core_types import (
     ShrinkageVector,
     ValueBlock,
 )
-from .long_term_memory import ConsolidationReport
+from .long_term_memory import ConsolidationReport, lowest
 
 
 @dataclass(frozen=True)
@@ -220,19 +221,23 @@ class TrackMemory:
             raise ConfigError(f"committing {new} prototypes exceeds l_max={self.l_max}")
         hw = self.hw
         candidates = (self.t_max - self.t_min) * hw
-        # copied out now: the prototypes may land on these rows
-        kept = np.r_[self.lt : self.lt + hw, self.lt + hw + candidates : self.n]
-        retained = (self.keys[kept], self.shrinkage[kept], self.values[kept], self.usage[kept])
         evicted = max(0, self.lt + new - self.l_max)
-        order = np.argsort(self.usage[: self.lt], kind="stable")
-        rows = np.r_[np.sort(order[:evicted]), self.lt : self.lt + new - evicted]
+        victims = lowest(self.usage[: self.lt], evicted)
+        evicted_usage = float(self.usage[victims].sum())
+        lt = self.lt + new - evicted
+        # the kept frames move before the prototypes land, which may be on
+        # their old rows; the newest first, as the reference frame's new
+        # rows may overlap their old ones
+        self._move(slice(self.lt + hw + candidates, self.n), lt + hw)
+        self._move(slice(self.lt, self.lt + hw), lt)
+        rows = np.concatenate([victims, np.arange(self.lt, lt)])
         self._put(rows, proto_keys.data.T, proto_shrinkage.data, proto_values.data.T, 0.0)
-        self.lt += new - evicted
-        self.n = self.lt + kept.size
-        self._put(slice(self.lt, self.n), *retained)
+        self.n = lt + self.n - self.lt - candidates
+        self.lt = lt
         self.inserted_at = self.inserted_at[:1] + self.inserted_at[1 + self.t_max - self.t_min :]
         return ConsolidationReport(
-            prototype_count=new, evicted_count=evicted, candidate_elements=candidates
+            prototype_count=new, evicted_count=evicted,
+            candidate_elements=candidates, evicted_usage=evicted_usage,
         )
 
     def _check_full(self) -> None:
@@ -244,7 +249,30 @@ class TrackMemory:
     def _put(self, rows, keys, shrinkage, values, usage) -> None:
         """Write element rows, a slice or row indices, and derive their
         operand columns, whose last row is the only copy of the shrinkage."""
-        stop = rows.stop if isinstance(rows, slice) else rows.max(initial=-1) + 1
+        self._reserve(rows.stop if isinstance(rows, slice) else rows.max(initial=-1) + 1)
+        self.keys[rows] = keys
+        self.values[rows] = values
+        self.usage[rows] = usage
+        if isinstance(rows, slice):
+            # written in place: a temporary per slice raised the lt-churn
+            # benchmark's peak RSS from 85.5 to 89.0 MB
+            memory_operand(keys.T, shrinkage, out=self.operand[:, rows])
+        else:
+            self.operand[:, rows] = memory_operand(keys.T, shrinkage)
+
+    def _move(self, rows: slice, start: int) -> None:
+        """Move a slice of element rows, operand columns with them, to the
+        rows from `start` on; the two ranges may overlap."""
+        to = slice(start, start + rows.stop - rows.start)
+        if to == rows:
+            return
+        self._reserve(to.stop)
+        for buffer in (self.keys, self.values, self.usage):
+            buffer[to] = buffer[rows]
+        self.operand[:, to] = self.operand[:, rows]
+
+    def _reserve(self, stop: int) -> None:
+        """Grow the operand to at least `stop` columns."""
         if stop > self.operand.shape[1]:
             # the operand grows by doubling, up to the capacity: a frame's
             # columns reach into all 2c_k+1 rows, so writing the first frame
@@ -252,15 +280,6 @@ class TrackMemory:
             grown = np.empty((self.operand.shape[0], min(2 * stop, self.capacity)), np.float32)
             grown[:, : self.operand.shape[1]] = self.operand
             self.operand = grown
-        self.keys[rows] = keys
-        self.values[rows] = values
-        self.usage[rows] = usage
-        if isinstance(rows, slice):
-            # written in place: a temporary per slice raised the lt-churn
-            # benchmark's peak RSS from 85.5 to 89.0 MB
-            memory_operand(self.keys[rows].T, shrinkage, out=self.operand[:, rows])
-        else:
-            self.operand[:, rows] = memory_operand(self.keys[rows].T, shrinkage)
 
     def _allocate(self, cap: int) -> None:
         # uninitialized: _put writes every row before it is read. Zero-filling

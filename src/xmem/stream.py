@@ -232,8 +232,9 @@ def read_lt_snapshot(path: str | Path) -> list[SnapshotObject]:
             blocks = []
             for shape, dtype in (((c_k, count), "<f4"), ((count,), "<f4"),
                                  ((c_v, count), "<f4"), ((count,), "<f8")):
-                n_items = int(np.prod(shape))
-                nbytes = np.dtype(dtype).itemsize * n_items
+                # exact integers: an int64 product of two corrupt u32 fields
+                # can wrap to a small or negative size
+                nbytes = np.dtype(dtype).itemsize * math.prod(shape)
                 # checked before reading, so a corrupt count allocates nothing
                 if offset + nbytes > size:
                     raise StreamFormatError("truncated snapshot block", size)

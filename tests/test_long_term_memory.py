@@ -19,7 +19,7 @@ from xmem import (
     select_prototypes,
     select_random,
 )
-from xmem.long_term_memory import ConsolidationReport
+from xmem.long_term_memory import ConsolidationReport, lowest
 from xmem.oracle import oracle_top_p
 
 
@@ -57,6 +57,26 @@ def test_select_matches_full_sort_oracle():
     assert select_prototypes(keys, usage, p=13) == oracle_top_p(usage, 13)
 
 
+# many repeats, both zeros, and the extremes of the count
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.one_of(st.sampled_from([0.0, -0.0, 1.0, -2.5, 3.0]), st.floats(-1e3, 1e3)),
+        max_size=40,
+    ),
+    st.sampled_from(["zero", "one", "n-1", "n", "n+3"]),
+)
+def test_lowest_is_the_head_of_a_stable_sort(values, which):
+    values = np.asarray(values, dtype=np.float64)
+    n = values.size
+    count = max(0, {"zero": 0, "one": 1, "n-1": n - 1, "n": n, "n+3": n + 3}[which])
+    got = lowest(values, count)
+    want = np.sort(np.argsort(values, kind="stable")[:count])
+    assert got.dtype == np.intp
+    npt.assert_array_equal(got, want)
+    assert got.tolist() == oracle_top_p(-values, count)
+
+
 def test_select_empty_candidates():
     keys = KeyBlock(np.zeros((2, 0), dtype=np.float32))
     assert select_prototypes(keys, np.zeros(0), p=4) == []
@@ -81,6 +101,43 @@ def test_select_kmeans_unique_and_snapped():
     assert all(0 <= i < 30 for i in picked)
     repeat = select_kmeans(keys, np.zeros(30), 6, np.random.default_rng(7))
     assert picked == repeat
+
+
+def _select_kmeans_sorting(candidate_keys, p, rng):
+    """select_kmeans with its former snapping step: a stable sort of all
+    candidates per centroid, walked to the first one not yet taken."""
+    n = candidate_keys.n
+    count = min(p, n)
+    pts = candidate_keys.data.T.astype(np.float64)
+    sq = (pts * pts).sum(axis=1)
+    centroids = pts[rng.choice(n, size=count, replace=False)].copy()
+    for _ in range(10):
+        d2 = sq[:, None] - 2.0 * (pts @ centroids.T) + (centroids * centroids).sum(axis=1)
+        assign = d2.argmin(axis=1)
+        for c in range(count):
+            members = pts[assign == c]
+            if len(members):
+                centroids[c] = members.mean(axis=0)
+    taken, picked = set(), []
+    for c in range(count):
+        order = np.argsort(((pts - centroids[c]) ** 2).sum(axis=1), kind="stable")
+        nearest = next(int(i) for i in order if int(i) not in taken)
+        taken.add(nearest)
+        picked.append(nearest)
+    return sorted(picked)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_select_kmeans_snaps_like_the_sorting_model(seed):
+    # duplicate columns: centroids of duplicates sit at equal distances from
+    # several candidates, and snapping must resolve each tie the same way
+    rng = np.random.default_rng(seed)
+    distinct = int(rng.integers(2, 12))
+    base = rng.uniform(-1, 1, (3, distinct)).astype(np.float32)
+    keys = KeyBlock(base[:, rng.integers(0, distinct, 40)])
+    for p in (1, 5, distinct, 40, 45):
+        got = select_kmeans(keys, np.zeros(40), p, np.random.default_rng(seed))
+        assert got == _select_kmeans_sorting(keys, p, np.random.default_rng(seed))
 
 
 def test_select_kmeans_memory_stays_small():
@@ -164,17 +221,18 @@ LT_DIMS = FeatureDims(h=2, w=8, c_k=2, c_v=2, c_h=2)
 
 
 def _commit(memory, count, seed=0):
+    """Consolidate a fresh candidate frame into `count` prototypes; returns
+    the report."""
     rng = np.random.default_rng(seed)
     frame = memory.inserted_at[-1] + 1
     memory.append_frame(*_candidates(rng, LT_DIMS.hw(), c_k=2, c_v=2), frame_idx=frame)
     keys, shrinkage, values, _, _ = memory.candidates(frame)
     protos = np.arange(count)
-    report = memory.commit(
+    return memory.commit(
         KeyBlock(keys.data[:, protos]),
         ShrinkageVector(shrinkage.data[protos]),
         ValueBlock(values.data[:, protos]),
     )
-    return report.evicted_count
 
 
 def _set_lt_usage(memory, usage):
@@ -209,8 +267,7 @@ def _next_prototypes(memory, count):
 def test_commit_evicts_least_used():
     memory = _store(l_max=3, usages=[5.0, 1.0, 3.0])
     survivor_key = _lt_keys(memory)[:, 0].copy()
-    evicted = _commit(memory, 2, seed=41)
-    assert evicted == 2
+    assert _commit(memory, 2, seed=41).evicted_count == 2
     assert memory.long_term.element_count == 3
     npt.assert_array_equal(_lt_keys(memory)[:, 0], survivor_key)
     npt.assert_array_equal(memory.usage[: memory.lt], [5.0, 0.0, 0.0])
@@ -218,7 +275,7 @@ def test_commit_evicts_least_used():
 
 def test_commit_without_overflow_evicts_nothing():
     memory = _store(l_max=10, usages=[1.0, 2.0])
-    assert _commit(memory, 3, seed=42) == 0
+    assert _commit(memory, 3, seed=42).evicted_count == 0
     assert memory.long_term.element_count == 5
 
 
@@ -275,7 +332,7 @@ def test_commit_leaves_survivors_in_place():
                 memory.usage[lt], memory.operand[:, lt].T)
 
     before = [a.copy() for a in rows()]
-    assert _commit(memory, 5, seed=52) == 5
+    assert _commit(memory, 5, seed=52).evicted_count == 5
     survivors = np.sort(np.argsort(usage, kind="stable")[5:])
     for old, new in zip(before, rows()):
         assert new[survivors].tobytes() == old[survivors].tobytes()
@@ -290,16 +347,39 @@ def test_accumulate_usage_totals():
     npt.assert_allclose(memory.usage[: memory.lt], [0.25, 4.0])
 
 
+def _usage_mass(rng, mode, n):
+    """One read's usage mass: distinct, all zero, or heavily tied."""
+    if mode == "zero":
+        return np.zeros(n)
+    if mode == "tied":
+        return rng.integers(0, 3, n) / 2.0
+    return rng.uniform(0, 1, n)
+
+
 @settings(max_examples=40, deadline=None)
-@given(st.lists(st.integers(0, 6), min_size=1, max_size=25), st.integers(6, 30))
-def test_commit_sequence_never_exceeds_cap(batch_sizes, l_max):
+@given(
+    st.lists(st.integers(0, 6), min_size=1, max_size=25),
+    st.integers(6, 30),
+    st.sampled_from(["distinct", "zero", "tied"]),
+)
+def test_commit_sequence_never_exceeds_cap(batch_sizes, l_max, mode):
     rng = np.random.default_rng(48)
     memory = _store(l_max=l_max)
     cap = memory.capacity
     assert cap == memory.t_max * LT_DIMS.hw() + l_max
     for size in batch_sizes:
-        _commit(memory, size, seed=size)
-        memory.add_usage(rng.uniform(0, 1, memory.n))
+        usage = memory.usage[: memory.lt].copy()
+        victims = np.sort(np.argsort(usage, kind="stable")[: max(0, memory.lt + size - l_max)])
+        before = memory.keys[: memory.lt].copy()
+        report = _commit(memory, size, seed=size)
+        # the stable-sort model: the evicted rows are the head of the sort,
+        # and their usage, summed in row order, is what the report carries
+        assert report.evicted_count == victims.size
+        assert report.evicted_usage == float(usage[victims].sum())
+        survivors = np.setdiff1d(np.arange(usage.size), victims)
+        npt.assert_array_equal(memory.keys[survivors], before[survivors])
+        npt.assert_array_equal(memory.usage[survivors], usage[survivors])
+        memory.add_usage(_usage_mass(rng, mode, memory.n))
         assert memory.long_term.element_count <= l_max
         assert memory.n <= cap == memory.capacity
 
@@ -307,3 +387,4 @@ def test_commit_sequence_never_exceeds_cap(batch_sizes, l_max):
 def test_consolidation_report_ratio():
     report = ConsolidationReport(prototype_count=128, evicted_count=0, candidate_elements=8100)
     assert abs(report.compression_ratio - 63.28125) < 1e-12
+    assert report.evicted_usage == 0.0

@@ -4,6 +4,8 @@ from pathlib import Path
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xmem import (
     FeatureDims,
@@ -258,23 +260,29 @@ def test_stream_shrinking_mid_read_reports_frame_offset(tmp_path):
     assert "truncated frame 2" in str(err.value)
 
 
-def _snapshot(tmp_path, monkeypatch):
-    """A two-track snapshot file, its bytes, and each track's long-term count."""
+def _write_snapshot(path):
+    """Write a two-track snapshot file; returns each track's long-term count."""
     header = StreamHeader(c_k=3, c_v=4, c_in=2, h=2, w=2, frame_count=30, object_count=2)
     cfg = PipelineConfig(
         dims=header.dims(c_h=2), r=1, t_min=2, t_max=4, p=3, l_max=9,
         sensory_input_channels=2,
     )
     pipeline, _ = run_stream(synthetic_frames(5, header, 0.2), cfg)
-    path = tmp_path / "lt.xmlt"
     write_lt_snapshot(path, pipeline.tracks)
+    return [t.long_term.element_count for t in pipeline.tracks]
+
+
+def _snapshot(tmp_path, monkeypatch):
+    """A two-track snapshot file, its bytes, and each track's long-term count."""
+    path = tmp_path / "lt.xmlt"
+    counts = _write_snapshot(path)
 
     def refuse(self):
         raise AssertionError("read_lt_snapshot must not read the whole file")
 
     blob = path.read_bytes()
     monkeypatch.setattr(Path, "read_bytes", refuse)
-    return path, blob, [t.long_term.element_count for t in pipeline.tracks]
+    return path, blob, counts
 
 
 def test_snapshot_is_read_block_by_block(tmp_path, monkeypatch):
@@ -313,3 +321,94 @@ def test_snapshot_corrupt_count_is_rejected_before_reading(tmp_path, monkeypatch
         read_lt_snapshot(path)
     assert "truncated snapshot block" in str(err.value)
     assert err.value.offset == len(blob)
+
+
+def test_snapshot_sizes_that_overflow_int64_are_rejected(tmp_path):
+    # c_k * count = (2^32 - 1)^2 wraps to a negative int64 byte count
+    path = tmp_path / "lt.xmlt"
+    path.write_bytes(
+        struct.pack("<4s4I", b"XMLT", 2, 1, 2**32 - 1, 4)
+        + struct.pack("<I", 2**32 - 1)
+        + bytes(64)
+    )
+    with pytest.raises(StreamFormatError) as err:
+        read_lt_snapshot(path)
+    assert "truncated snapshot block" in str(err.value)
+    assert err.value.offset == path.stat().st_size
+
+
+# -- parser fuzzing ------------------------------------------------------------
+#
+# Truncated, byte-flipped and header-mutated copies of small valid files: a
+# parser either reads them or raises StreamFormatError at an offset inside
+# the file, never anything else.
+
+_STREAM_FIELDS = list(range(4, 36, 4))  # version .. object_count
+_SNAPSHOT_FIELDS = [4, 8, 12, 16, 20]  # version, objects, c_k, c_v, first count
+_U32 = st.one_of(st.sampled_from([0, 1, 2, 3, 2**31, 2**32 - 1]), st.integers(0, 2**32 - 1))
+
+
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory):
+    """The bytes of a small valid stream and snapshot, and a scratch path."""
+    root = tmp_path_factory.mktemp("fuzz")
+    header = StreamHeader(c_k=2, c_v=3, c_in=2, h=2, w=2, frame_count=3, object_count=2)
+    generate_synthetic(root / "valid.xmfs", seed=3, header=header, drift=0.1)
+    _write_snapshot(root / "valid.xmlt")
+    return {
+        "stream": (root / "valid.xmfs").read_bytes(),
+        "snapshot": (root / "valid.xmlt").read_bytes(),
+        "path": root / "mutant",
+    }
+
+
+def _mutants(fields):
+    """A mutation of a file's bytes: truncation, byte flips or u32 header
+    fields set to arbitrary values."""
+    cut = st.tuples(st.just("cut"), st.integers(0, 2**20))
+    flips = st.tuples(
+        st.just("flip"),
+        st.lists(st.tuples(st.integers(0, 2**20), st.integers(1, 255)), min_size=1, max_size=4),
+    )
+    header = st.tuples(
+        st.just("field"),
+        st.lists(st.tuples(st.sampled_from(fields), _U32), min_size=1, max_size=3),
+    )
+    return st.one_of(cut, flips, header)
+
+
+def _mutate(blob, mutation):
+    kind, arg = mutation
+    if kind == "cut":
+        return blob[: arg % len(blob)]
+    out = bytearray(blob)
+    if kind == "flip":
+        for pos, bits in arg:
+            out[pos % len(out)] ^= bits
+    else:
+        for offset, value in arg:
+            struct.pack_into("<I", out, offset, value)
+    return bytes(out)
+
+
+def _parses_or_rejects(parse, path, blob):
+    path.write_bytes(blob)
+    try:
+        parse(path)
+    except StreamFormatError as err:
+        assert 0 <= err.offset <= len(blob), (err, len(blob))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_mutants(_STREAM_FIELDS))
+def test_fuzzed_stream_parses_or_is_rejected(valid_files, mutation):
+    blob = _mutate(valid_files["stream"], mutation)
+    _parses_or_rejects(lambda path: list(iter_frames(path)), valid_files["path"], blob)
+    _parses_or_rejects(read_header, valid_files["path"], blob)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_mutants(_SNAPSHOT_FIELDS))
+def test_fuzzed_snapshot_parses_or_is_rejected(valid_files, mutation):
+    blob = _mutate(valid_files["snapshot"], mutation)
+    _parses_or_rejects(read_lt_snapshot, valid_files["path"], blob)

@@ -142,27 +142,34 @@ def test_operand_follows_consolidations_with_eviction():
     st.lists(st.integers(0, 8), min_size=1, max_size=12),
     st.integers(8, 40),
     st.integers(0, 2**32 - 1),
+    st.sampled_from(["distinct", "zero", "tied"]),
 )
-def test_commit_sequence_matches_list_model(batch_sizes, l_max, seed):
-    # the long-term contents, as a set of (key, usage), follow a plain model:
-    # drop the least-used elements, then append the prototypes at zero usage
+def test_commit_sequence_matches_list_model(batch_sizes, l_max, seed, mode):
+    # the long-term rows follow a plain list model: the least-used rows are
+    # evicted (a stable sort, so ties go to the lower row), the prototypes
+    # take their rows in ascending order, then extend the list, at zero
+    # usage. Fresh prototypes tie at zero, and "zero" and "tied" usage make
+    # ties the rule rather than the exception
     memory = TrackMemory(DIMS, t_min=2, t_max=4, l_max=l_max)
     rng = np.random.default_rng(seed)
-    model = {}  # key bytes -> usage
+    model = []  # per long-term row: [key bytes, usage]
     batches = iter(batch_sizes)
     frame = 0
     while True:
         memory.append_frame(*_frame(seed + frame), frame_idx=frame)
-        mass = rng.uniform(0, 1, memory.n)
+        if mode == "zero":
+            mass = np.zeros(memory.n)
+        elif mode == "tied":
+            mass = rng.integers(0, 3, memory.n) / 2.0
+        else:
+            mass = rng.uniform(0, 1, memory.n)
         memory.add_usage(mass)
-        for row in range(memory.lt):
-            model[memory.keys[row].tobytes()] += mass[row]
+        for row, entry in enumerate(model):
+            entry[1] += mass[row]
         if memory.frame_count == memory.t_max:
             size = next(batches, None)
             if size is None:
                 break
-            lt_usage = memory.usage[: memory.lt]
-            assert np.unique(lt_usage).size == lt_usage.size
             keys, shrinkage, values, _, _ = memory.candidates(frame)
             picks = sorted(rng.choice(keys.n, size=size, replace=False).tolist())
             protos = KeyBlock(keys.data[:, picks])
@@ -172,12 +179,17 @@ def test_commit_sequence_matches_list_model(batch_sizes, l_max, seed):
                 ValueBlock(values.data[:, picks]),
             )
             evicted = max(0, len(model) + size - l_max)
-            for key in sorted(model, key=model.get)[:evicted]:
-                del model[key]
-            model.update((key.tobytes(), 0.0) for key in protos.data.T)
+            victims = sorted(sorted(range(len(model)), key=lambda row: model[row][1])[:evicted])
+            evicted_usage = np.array([model[row][1] for row in victims], dtype=np.float64).sum()
+            rows = victims + list(range(len(model), len(model) + size - evicted))
+            for row, key in zip(rows, protos.data.T):
+                if row == len(model):
+                    model.append(None)
+                model[row] = [key.tobytes(), 0.0]
             assert report.evicted_count == evicted
-            stored = {(memory.keys[row].tobytes(), memory.usage[row]) for row in range(memory.lt)}
-            assert stored == set(model.items())
+            assert report.evicted_usage == evicted_usage
+            stored = [[memory.keys[row].tobytes(), memory.usage[row]] for row in range(memory.lt)]
+            assert stored == model
             _assert_operand_in_step(memory)
         frame += 1
 
