@@ -3,13 +3,13 @@
 Three cooperating feature stores (sensory, plus working and long-term memory
 sharing one buffer per object track, which also holds the similarity's
 memory operand), an anisotropic squared-distance readout over a sparse top-k
-softmax affinity scored one block of query rows at a time,
-usage-driven consolidation of working memory into long-term prototypes, and
-LFU eviction under a hard element cap.
+softmax affinity scored one block of query rows at a time, the blocks of a
+frame spread over the available CPUs, usage-driven consolidation of working
+memory into long-term prototypes, and LFU eviction under a hard element cap.
 """
 
 from .affinity import (
-    ScoreBlock,
+    ReadScratch,
     affinity,
     memory_operand,
     query_operand,

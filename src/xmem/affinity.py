@@ -14,6 +14,16 @@ weights one block of _READ_ROWS query rows at a time, so the (hw, n)
 similarity is never built; `readout` gathers the retained value rows for
 _READOUT_ROWS query rows at a time.
 
+Query rows are independent, so the row blocks of one read can run on
+several threads. A read made with a `ReadScratch` splits its blocks over
+min(available CPUs, blocks) workers: the calling thread takes one share and
+a lazily started module-level thread pool the rest; numpy releases the GIL
+in the GEMM, the selection and the gather. Every worker runs the same
+block-level steps over the same block boundaries as a serial read and writes
+only its own rows of the outputs, so the result is byte-identical. A read of
+a single block, or one made without a scratch, stays on the calling thread
+and starts no thread.
+
 The top-k is selected exactly. Per row, the k-th largest of the maxima of g
 strided column groups bounds the k-th largest value from below (k distinct
 groups each hold a value at least that large), so every element at or above
@@ -27,6 +37,9 @@ ascending index order), so results are reproducible run to run.
 """
 
 from __future__ import annotations
+
+import os
+import threading
 
 import numpy as np
 
@@ -126,9 +139,9 @@ def _retained_indices(block: np.ndarray, top_k: int) -> np.ndarray:
     tail = group_max[:, : n - full]
     np.maximum(tail, block[:, full:], out=tail)
     np.minimum(group_max, 0.0, out=group_max)
-    bound = np.partition(group_max, g - top_k, axis=1)[:, g - top_k]
+    group_max.partition(g - top_k, axis=1)
     # flat positions of the candidates, row-major, columns ascending
-    cand = np.flatnonzero(block >= bound[:, None])
+    cand = np.flatnonzero(block >= group_max[:, g - top_k, None])
     row = cand // n
     surplus = np.bincount(row, minlength=b) > top_k
     if surplus.any():
@@ -145,28 +158,128 @@ def _retained_indices(block: np.ndarray, top_k: int) -> np.ndarray:
     return cand.reshape(b, top_k) - np.arange(0, b * n, n)[:, None]
 
 
-class ScoreBlock:
-    """Storage for `affinity`'s block of scores, reused across reads.
+class ReadScratch:
+    """Per-worker storage for `affinity` and `readout`, reused across reads.
 
-    A fresh block per read costs page faults whenever the allocator hands
-    its pages back to the system between reads: about 200 per read at
-    hw 64, n 1500, over a third of the read's time. One owner (a pipeline)
-    passing the same ScoreBlock to every read avoids them.
+    One flat float32 buffer per worker: a block of _READ_ROWS x n scores
+    during `affinity`, then the gather buffer during `readout`. A fresh block
+    per read costs page faults whenever the allocator hands its pages back to
+    the system between reads: about 200 per read at hw 64, n 1500, over a
+    third of the read's time. So the calling thread allocates the buffers
+    and keeps them, growing one only when n grows.
+
+    A read made with a ReadScratch also runs its row blocks, and the readout
+    of it its rows, on min(available CPUs, blocks) workers. One owner (a
+    pipeline) passes the same ReadScratch to every read, from one thread at a
+    time.
     """
 
     def __init__(self):
-        self._data = np.empty(0, dtype=np.float32)
+        self._buffers: list[np.ndarray] = []
 
-    def get(self, rows: int, n: int) -> np.ndarray:
-        """A (rows, n) float32 block; its contents are undefined."""
-        if self._data.size < rows * n:
-            self._data = np.empty(rows * n, dtype=np.float32)
-        return self._data[: rows * n].reshape(rows, n)
+    def buffers(self, workers: int, size: int) -> list[np.ndarray]:
+        """One flat float32 buffer of at least `size` entries per worker;
+        their contents are undefined."""
+        while len(self._buffers) < workers:
+            self._buffers.append(np.empty(0, dtype=np.float32))
+        for w in range(workers):
+            if self._buffers[w].size < size:
+                self._buffers[w] = np.empty(size, dtype=np.float32)
+        return self._buffers[:workers]
+
+
+class Read(tuple):
+    """The read `affinity` returns: the pair (indices, weights).
+
+    `scratch` is the ReadScratch the read was made with, or None; `readout`
+    of the read reuses its buffers and workers.
+    """
+
+    scratch: ReadScratch | None = None
+
+
+def _cores() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not available on every platform
+        return os.cpu_count() or 1
+
+
+def _workers(hw: int, scratch: ReadScratch | None) -> int:
+    """Threads a read of hw query rows runs on."""
+    blocks = -(-hw // _READ_ROWS)
+    return min(_cores(), blocks) if scratch is not None and blocks > 1 else 1
+
+
+# the concurrent.futures.ThreadPoolExecutor of the first threaded read
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _forget_pool() -> None:
+    # a forked child inherits the pool object but none of its threads
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _run(read_block, hw: int, workers: int) -> None:
+    """Call read_block(w, rows) for each block of _READ_ROWS of hw query
+    rows, the blocks dealt round-robin to `workers` workers: w = 0 is this
+    thread, the rest run on the pool. Returns once every worker has
+    finished, raising the first failure, so no worker is left writing into
+    the outputs behind the caller's back."""
+
+    def share(w: int) -> None:
+        for start in range(w * _READ_ROWS, hw, workers * _READ_ROWS):
+            read_block(w, slice(start, min(start + _READ_ROWS, hw)))
+
+    if workers == 1:
+        share(0)
+        return
+    # imported with the pool, not with the module: the import alone raised the
+    # peak RSS of the single-block lt-churn benchmark by about 5 MB
+    from concurrent.futures import ThreadPoolExecutor, wait
+
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max(1, _cores() - 1), thread_name_prefix="xmem-read")
+        pool = _pool
+    futures = [pool.submit(share, w) for w in range(1, workers)]
+    try:
+        share(0)
+    finally:
+        wait(futures)
+    for future in futures:
+        future.result()
+
+
+def _read_rows(
+    operand: np.ndarray, rhs: np.ndarray, k: int,
+    scores: np.ndarray, kept: np.ndarray, weights: np.ndarray,
+) -> None:
+    """The read of one block of query rows rhs (b, 2c_k+1): scores it into
+    `scores` (b, n), then writes its retained indices into `kept` (b, k) and
+    their weights into `weights` (b, k)."""
+    _scores(operand, rhs, out=scores)
+    kept[:] = idx = _retained_indices(scores, k)
+    vals = np.take_along_axis(scores, idx, axis=1)
+    np.minimum(vals, 0.0, out=vals)
+    # similarities are large-magnitude negatives: subtract the row max
+    # before exponentiating
+    vals -= vals.max(axis=1, keepdims=True)
+    np.exp(vals, out=vals)
+    np.divide(vals, vals.sum(axis=1, keepdims=True), out=weights)
 
 
 def affinity(
-    operand: np.ndarray, rhs: np.ndarray, top_k: int, scratch: ScoreBlock | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+    operand: np.ndarray, rhs: np.ndarray, top_k: int, scratch: ReadScratch | None = None
+) -> Read:
     """Sparse softmax read of query rows rhs (hw, 2c_k+1) over memory operand
     (2c_k+1, n): per query row, the k = min(top_k, n) largest similarities
     are retained (ties toward the lower element index) and the softmax is
@@ -174,9 +287,10 @@ def affinity(
 
     Returns the read: the retained indices, ascending, and their float32
     weights, both (hw, k). Temporaries stay at one block of _READ_ROWS x n
-    scores, held in `scratch` when given. The scores are those of
-    `similarity`, whose clamp at 0 is applied only where the selection and
-    the softmax look.
+    scores per worker. Without `scratch` the read runs on the calling thread
+    in a block of its own; with it, in the scratch's blocks, on
+    min(available CPUs, blocks) workers. The scores are those of `similarity`, whose
+    clamp at 0 is applied only where the selection and the softmax look.
     """
     if top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
@@ -186,19 +300,40 @@ def affinity(
     k = min(top_k, n)
     kept = np.empty((hw, k), dtype=np.intp)
     weights = np.empty((hw, k), dtype=np.float32)
-    block = (scratch or ScoreBlock()).get(min(hw, _READ_ROWS), n)
-    for start in range(0, hw, _READ_ROWS):
-        stop = min(start + _READ_ROWS, hw)
-        scores = _scores(operand, rhs[start:stop], out=block[: stop - start])
-        kept[start:stop] = idx = _retained_indices(scores, k)
-        vals = np.take_along_axis(scores, idx, axis=1)
-        np.minimum(vals, 0.0, out=vals)
-        # similarities are large-magnitude negatives: subtract the row max
-        # before exponentiating
-        vals -= vals.max(axis=1, keepdims=True)
-        np.exp(vals, out=vals)
-        np.divide(vals, vals.sum(axis=1, keepdims=True), out=weights[start:stop])
-    return kept, weights
+    workers = _workers(hw, scratch)
+    size = min(hw, _READ_ROWS) * n
+    blocks = scratch.buffers(workers, size) if scratch else [np.empty(size, np.float32)]
+
+    def read_block(w: int, rows: slice) -> None:
+        scores = blocks[w][: (rows.stop - rows.start) * n].reshape(-1, n)
+        _read_rows(operand, rhs[rows], k, scores, kept[rows], weights[rows])
+
+    _run(read_block, hw, workers)
+    read = Read((kept, weights))
+    read.scratch = scratch
+    return read
+
+
+def _readout_rows(
+    values: np.ndarray, indices: np.ndarray, weights: np.ndarray,
+    gathered: np.ndarray, out: np.ndarray,
+) -> None:
+    """Readout rows `out` (b, c_v) of one block of queries, gathering the
+    retained value rows of _READOUT_ROWS queries at a time into the flat
+    buffer `gathered`."""
+    b, k = indices.shape
+    c_v = values.shape[1]
+    for start in range(0, b, _READOUT_ROWS):
+        stop = min(start + _READOUT_ROWS, b)
+        rows = gathered[: (stop - start) * k * c_v].reshape(-1, c_v)
+        # indices are checked by `readout`; "clip" lets take write into rows
+        # unbuffered
+        np.take(values, indices[start:stop].ravel(), axis=0, out=rows, mode="clip")
+        np.matmul(
+            weights[start:stop, None, :],
+            rows.reshape(stop - start, k, c_v),
+            out=out[start:stop, None, :],
+        )
 
 
 def readout(values: np.ndarray, read: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
@@ -209,8 +344,9 @@ def readout(values: np.ndarray, read: tuple[np.ndarray, np.ndarray]) -> np.ndarr
     sum_s weights[j, s] * values[indices[j, s]], over the retained slots in
     ascending index order, skipping subnormal weights. The rows of
     _READOUT_ROWS query positions are gathered at a time, so temporaries stay
-    at hw x c_v plus one gather buffer. Each output column is a convex
-    combination of value rows.
+    at hw x c_v plus one gather buffer per worker. A read that `affinity`
+    made with a scratch is read out in the scratch's buffers, on the same
+    workers. Each output column is a convex combination of value rows.
     """
     # np.take of rows is ~12x slower on a transposed channel-major block than
     # on C-ordered rows; the store's rows are C-ordered and pass uncopied
@@ -228,17 +364,15 @@ def readout(values: np.ndarray, read: tuple[np.ndarray, np.ndarray]) -> np.ndarr
     hw, k = indices.shape
     c_v = values.shape[1]
     out = np.empty((hw, c_v), dtype=np.float32)
-    gathered = np.empty((min(hw, _READOUT_ROWS) * k, c_v), dtype=np.float32)
-    for start in range(0, hw, _READOUT_ROWS):
-        stop = min(start + _READOUT_ROWS, hw)
-        rows = gathered[: (stop - start) * k]
-        # indices are checked above; "clip" lets take write into rows unbuffered
-        np.take(values, indices[start:stop].ravel(), axis=0, out=rows, mode="clip")
-        np.matmul(
-            weights[start:stop, None, :],
-            rows.reshape(stop - start, k, c_v),
-            out=out[start:stop, None, :],
-        )
+    scratch = getattr(read, "scratch", None)
+    workers = _workers(hw, scratch)
+    size = min(hw, _READOUT_ROWS) * k * c_v
+    gathers = scratch.buffers(workers, size) if scratch else [np.empty(size, np.float32)]
+
+    def read_block(w: int, rows: slice) -> None:
+        _readout_rows(values, indices[rows], weights[rows], gathers[w], out[rows])
+
+    _run(read_block, hw, workers)
     return out.T
 
 

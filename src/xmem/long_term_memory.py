@@ -14,15 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .affinity import affinity, query_operand, readout
-from .core_types import (
-    KeyBlock,
-    QueryBlock,
-    SelectionBlock,
-    ShapeError,
-    ShrinkageVector,
-    ValueBlock,
-)
+from .affinity import affinity, readout
+from .core_types import ShapeError
 
 
 @dataclass(frozen=True)
@@ -62,25 +55,26 @@ def lowest(values: np.ndarray, count: int) -> np.ndarray:
 
 
 def select_prototypes(
-    candidate_keys: KeyBlock, normalized_usage: np.ndarray, p: int
+    candidate_keys: np.ndarray, normalized_usage: np.ndarray, p: int
 ) -> list[int]:
     """Indices of the min(p, n) candidates with the largest normalized usage.
 
-    Ties resolve toward the lower index; the result is sorted ascending.
+    candidate_keys are channel-major (c_k, n), as in every selection
+    strategy. Ties resolve toward the lower index; the result is sorted
+    ascending.
     """
     usage = np.asarray(normalized_usage, dtype=np.float64)
-    if usage.shape != (candidate_keys.n,):
-        raise ShapeError(
-            f"usage has shape {usage.shape}, want ({candidate_keys.n},)"
-        )
+    n = candidate_keys.shape[1]
+    if usage.shape != (n,):
+        raise ShapeError(f"usage has shape {usage.shape}, want ({n},)")
     return lowest(-usage, p).tolist()
 
 
 def select_random(
-    candidate_keys: KeyBlock, normalized_usage: np.ndarray, p: int, rng: np.random.Generator
+    candidate_keys: np.ndarray, normalized_usage: np.ndarray, p: int, rng: np.random.Generator
 ) -> list[int]:
     """Uniform random prototype choice (ablation baseline)."""
-    n = candidate_keys.n
+    n = candidate_keys.shape[1]
     if n == 0:
         return []
     picked = rng.choice(n, size=min(p, n), replace=False)
@@ -88,7 +82,7 @@ def select_random(
 
 
 def select_kmeans(
-    candidate_keys: KeyBlock, normalized_usage: np.ndarray, p: int, rng: np.random.Generator
+    candidate_keys: np.ndarray, normalized_usage: np.ndarray, p: int, rng: np.random.Generator
 ) -> list[int]:
     """Lloyd k-means over candidate keys, centroids snapped to candidates.
 
@@ -96,11 +90,11 @@ def select_kmeans(
     nearest not-yet-taken candidate so the result stays a unique index set of
     size min(p, n).
     """
-    n = candidate_keys.n
+    n = candidate_keys.shape[1]
     if n == 0:
         return []
     count = min(p, n)
-    pts = candidate_keys.data.T.astype(np.float64)  # n x c_k
+    pts = candidate_keys.T.astype(np.float64)  # n x c_k
     sq = (pts * pts).sum(axis=1)
     centroids = pts[rng.choice(n, size=count, replace=False)].copy()
     for _ in range(10):
@@ -122,45 +116,42 @@ def select_kmeans(
 
 
 def potentiate(
-    candidate_keys: KeyBlock,
-    candidate_shrinkage: ShrinkageVector,
-    candidate_values: ValueBlock,
+    candidate_keys: np.ndarray,
+    candidate_shrinkage: np.ndarray,
+    candidate_values: np.ndarray,
     candidate_operand: np.ndarray,
     prototype_indices: list[int],
     top_k: int,
-) -> tuple[KeyBlock, ShrinkageVector, ValueBlock]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Build prototype columns from the selected candidates.
+
+    The candidates come channel-major, keys (c_k, n), shrinkage (n,) and
+    values (c_v, n), with their (2c_k+1, n) memory operand, as
+    `TrackMemory.candidates` gives them (or `affinity.memory_operand` builds
+    the operand); the prototypes are returned the same way, keys (c_k, p),
+    shrinkage (p,) and values (c_v, p). Nothing is re-validated.
 
     Prototype keys are exact copies of the selected candidate columns. Values
     and shrinkage are affinity-weighted averages over all candidates, with
     the prototypes acting as queries against the candidate set (unit
-    selection, the usual sparse top-k read). candidate_operand is the
-    candidates' (2c_k+1, n) memory operand, as `TrackMemory.candidates` or
-    `affinity.memory_operand` give it.
+    selection, the usual sparse top-k read).
     """
     if len(set(prototype_indices)) != len(prototype_indices):
         raise ValueError("prototype indices must be unique")
-    if len(prototype_indices) == 0:
-        c_k = candidate_keys.c_k
-        c_v = candidate_values.c_v
-        return (
-            KeyBlock(np.zeros((c_k, 0), dtype=np.float32)),
-            ShrinkageVector(np.zeros(0, dtype=np.float32)),
-            ValueBlock(np.zeros((c_v, 0), dtype=np.float32)),
-        )
     idx = np.asarray(prototype_indices, dtype=np.intp)
-    if idx.min() < 0 or idx.max() >= candidate_keys.n:
+    if idx.size and (idx.min() < 0 or idx.max() >= candidate_keys.shape[1]):
         raise ValueError("prototype index out of range")
 
-    proto_key_data = candidate_keys.data[:, idx]
-    rhs = query_operand(QueryBlock(proto_key_data), SelectionBlock(np.ones_like(proto_key_data)))
+    proto_keys = candidate_keys[:, idx]
+    # the query operand [2 e*q, -e, -sum(e*q*q)] at unit selection e = 1
+    rhs = np.concatenate([
+        2.0 * proto_keys,
+        np.full_like(proto_keys, -1.0),
+        -np.sum(proto_keys * proto_keys, axis=0, keepdims=True),
+    ]).T
     read = affinity(candidate_operand, rhs, top_k)
-    proto_values = readout(candidate_values.data.T, read)
-    proto_shrinkage = readout(candidate_shrinkage.data[:, None], read)[0]
+    proto_values = readout(candidate_values.T, read)
+    proto_shrinkage = readout(candidate_shrinkage[:, None], read)[0]
     # convex combination of values >= 1 can round a hair below the bound
     np.maximum(proto_shrinkage, 1.0, out=proto_shrinkage)
-    return (
-        KeyBlock(proto_key_data),
-        ShrinkageVector(proto_shrinkage),
-        ValueBlock(proto_values),
-    )
+    return proto_keys, proto_shrinkage, proto_values

@@ -20,8 +20,9 @@ operand and the raw element-major value rows, for the read path. Every row
 is written by `_put`, which derives the operand column from the key and
 shrinkage it writes, or moved by `_move`, which moves its operand column
 with it, so the operand never goes stale. Contents are validated
-once, by the blocks passed to `append_frame` and `commit`, never again on a
-read.
+once, by the blocks passed to `append_frame`, never again: reads and
+consolidation take raw views of the buffer, and `commit` stores prototypes
+that `potentiate` derived from stored elements.
 
 Single-writer: exactly one pipeline owns and mutates an instance.
 """
@@ -115,10 +116,7 @@ class TrackMemory:
         Nothing is copied or re-validated. The views are valid only until the
         next append_frame or commit, which rewrite the buffer in place.
         """
-        views = (self.operand[:, : self.n], self.values[: self.n])
-        for view in views:
-            view.flags.writeable = False
-        return views
+        return _read_only(self.operand[:, : self.n], self.values[: self.n])
 
     def blocks(self, columns: slice) -> tuple[KeyBlock, ShrinkageVector, ValueBlock]:
         """Channel-major blocks over the given elements; nothing is copied.
@@ -187,22 +185,24 @@ class TrackMemory:
         duration = np.maximum(1, current_frame_idx - np.asarray(self.inserted_at))
         return self.usage[self.lt : self.n] / np.repeat(duration, self.hw)
 
-    def candidates(
-        self, current_frame_idx: int
-    ) -> tuple[KeyBlock, ShrinkageVector, ValueBlock, np.ndarray, np.ndarray]:
-        """Views of the consolidation candidates, the t_max - t_min frames
-        after the reference frame: their blocks, their memory operand
-        columns, and their residency-normalized usage."""
+    def candidates(self, current_frame_idx: int) -> tuple[np.ndarray, ...]:
+        """Read-only views of the consolidation candidates, the t_max - t_min
+        frames after the reference frame: channel-major keys, shrinkage and
+        values, their memory operand columns and their residency-normalized
+        usage. Like `read`'s, they are neither copied nor re-validated."""
         self._check_full()
         hw = self.hw
         first = self.lt + hw
         count = (self.t_max - self.t_min) * hw
         columns = slice(first, first + count)
         usage = self.normalized_usage(current_frame_idx)[hw : hw + count]
-        return (*self.blocks(columns), self.operand[:, columns], usage)
+        return (*_read_only(
+            self.keys[columns].T, self.shrinkage[columns], self.values[columns].T,
+            self.operand[:, columns],
+        ), usage)
 
     def commit(
-        self, proto_keys: KeyBlock, proto_shrinkage: ShrinkageVector, proto_values: ValueBlock
+        self, proto_keys: np.ndarray, proto_shrinkage: np.ndarray, proto_values: np.ndarray
     ) -> ConsolidationReport:
         """Replace the candidate frames by prototypes, in place.
 
@@ -211,11 +211,12 @@ class TrackMemory:
         elements are evicted (ties toward the lower row) and the first
         prototypes take their rows, in ascending row order; the rest extend
         the long-term segment. Survivors never move, so a lower row does not
-        mean an older element. New prototypes start at zero usage.
+        mean an older element. New prototypes start at zero usage. They come
+        as `potentiate` returns them and are not re-validated.
         """
         self._check_full()
-        new = proto_keys.n
-        if proto_shrinkage.n != new or proto_values.n != new:
+        new = proto_keys.shape[1]
+        if proto_shrinkage.shape != (new,) or proto_values.shape[1] != new:
             raise ShapeError("prototype key/shrinkage/value counts differ")
         if new > self.l_max:
             raise ConfigError(f"committing {new} prototypes exceeds l_max={self.l_max}")
@@ -231,7 +232,7 @@ class TrackMemory:
         self._move(slice(self.lt + hw + candidates, self.n), lt + hw)
         self._move(slice(self.lt, self.lt + hw), lt)
         rows = np.concatenate([victims, np.arange(self.lt, lt)])
-        self._put(rows, proto_keys.data.T, proto_shrinkage.data, proto_values.data.T, 0.0)
+        self._put(rows, proto_keys.T, proto_shrinkage, proto_values.T, 0.0)
         self.n = lt + self.n - self.lt - candidates
         self.lt = lt
         self.inserted_at = self.inserted_at[:1] + self.inserted_at[1 + self.t_max - self.t_min :]
@@ -296,3 +297,9 @@ class TrackMemory:
         old = (self.keys[:n], self.shrinkage[:n], self.values[:n], self.usage[:n])
         self._allocate(2 * self.capacity)
         self._put(slice(0, n), *old)
+
+
+def _read_only(*views: np.ndarray) -> tuple[np.ndarray, ...]:
+    for view in views:
+        view.flags.writeable = False
+    return views

@@ -110,31 +110,16 @@ def oracle_top_p(usage, p: int) -> list[int]:
     return sorted(order[: min(p, len(u))])
 
 
-def oracle_gru_step(h, x, w_z, b_z, w_r, b_r, w_h, b_h, kernel_size: int = 1) -> np.ndarray:
+def oracle_gru_step(h, x, w_z, b_z, w_r, b_r, w_h, b_h) -> np.ndarray:
     """Per-position scalar GRU update, float64.
 
-    Gate weight rows index the flattened neighborhood patch ordered
-    channel-major then (dy, dx) row-major, matching the engine layout.
+    Each grid position updates from its own input and hidden vectors alone.
+    Gate weight rows index the input channels, then the hidden channels,
+    matching the engine layout.
     """
     h = np.asarray(h, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
     c_h, rows, cols = h.shape
-    c_x = x.shape[0]
-    k = kernel_size
-    pad = k // 2
-
-    def patch(grid, r, c):
-        # zero-padded k x k neighborhood, channel-major then offsets
-        out = []
-        for ch in range(grid.shape[0]):
-            for dy in range(-pad, pad + 1):
-                for dx in range(-pad, pad + 1):
-                    rr, cc = r + dy, c + dx
-                    if 0 <= rr < rows and 0 <= cc < cols:
-                        out.append(float(grid[ch, rr, cc]))
-                    else:
-                        out.append(0.0)
-        return out
 
     def gate(w, b, vec):
         out = []
@@ -146,28 +131,17 @@ def oracle_gru_step(h, x, w_z, b_z, w_r, b_r, w_h, b_h, kernel_size: int = 1) ->
             out.append(acc)
         return out
 
-    # pass 1: gate maps; the reset product r (.) h is an elementwise map
-    # operation, so every neighbor is scaled by its own gate before patches
-    # for the candidate are gathered
-    z_map = np.empty_like(h)
-    r_map = np.empty_like(h)
-    for r in range(rows):
-        for c in range(cols):
-            vec_xh = patch(x, r, c) + patch(h, r, c)
-            for o, a in enumerate(gate(w_z, b_z, vec_xh)):
-                z_map[o, r, c] = 1.0 / (1.0 + math.exp(-a))
-            for o, a in enumerate(gate(w_r, b_r, vec_xh)):
-                r_map[o, r, c] = 1.0 / (1.0 + math.exp(-a))
-    h_reset = r_map * h
-
-    # pass 2: candidate and convex mix
     out = np.empty_like(h)
     for r in range(rows):
         for c in range(cols):
-            vec_cand = patch(x, r, c) + patch(h_reset, r, c)
-            cand = [math.tanh(a) for a in gate(w_h, b_h, vec_cand)]
+            xv = [float(v) for v in x[:, r, c]]
+            hv = [float(v) for v in h[:, r, c]]
+            z = [1.0 / (1.0 + math.exp(-a)) for a in gate(w_z, b_z, xv + hv)]
+            reset = [1.0 / (1.0 + math.exp(-a)) for a in gate(w_r, b_r, xv + hv)]
+            h_reset = [g * v for g, v in zip(reset, hv)]
+            cand = [math.tanh(a) for a in gate(w_h, b_h, xv + h_reset)]
             for o in range(c_h):
-                out[o, r, c] = (1.0 - z_map[o, r, c]) * h[o, r, c] + z_map[o, r, c] * cand[o]
+                out[o, r, c] = (1.0 - z[o]) * hv[o] + z[o] * cand[o]
     return out
 
 

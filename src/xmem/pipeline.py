@@ -8,9 +8,15 @@ the sensory state. When the working memory reaches its frame cap,
 consolidate the oldest non-reference frames into long-term prototypes,
 evicting least-used prototypes if the cap demands.
 
-One pipeline per stream; object tracks share nothing and the frame loop is
-sequential. A frame's inputs are checked for every object before the first
-read, so a rejected frame changes no state and can be stepped again.
+One pipeline per stream; object tracks share nothing. The frame loop is
+sequential and runs on the calling thread, objects one after another; only
+the read inside it (`affinity` and `readout`) splits a frame's query row
+blocks over the available CPUs, through the pipeline's `ReadScratch`. Usage,
+the sensory cell and consolidation stay on the calling thread. Separate
+pipelines may be stepped from separate threads; one pipeline is stepped from
+one thread at a time. A frame's inputs are checked for every object before
+the first read, so a rejected frame changes no state and can be stepped
+again.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from typing import Literal
 
 import numpy as np
 
-from .affinity import ScoreBlock, affinity, query_operand, readout, usage_mass
+from .affinity import ReadScratch, affinity, query_operand, readout, usage_mass
 from .core_types import (
     ConfigError,
     ContractError,
@@ -222,14 +228,14 @@ class Pipeline:
             )
         self.last_frame_idx = 0
         self.last_read_ns = 0
-        self._scores = ScoreBlock()
+        self._scratch = ReadScratch()
 
     # -- schedule ----------------------------------------------------------
 
     def is_insertion_frame(self, frame_idx: int) -> bool:
         return frame_idx % self.config.r == self.config.insert_offset % self.config.r
 
-    def _select(self, keys: KeyBlock, usage: np.ndarray, frame_idx: int) -> list[int]:
+    def _select(self, keys: np.ndarray, usage: np.ndarray, frame_idx: int) -> list[int]:
         cfg = self.config
         if cfg.prototype_strategy == "usage":
             return select_prototypes(keys, usage, cfg.p)
@@ -301,7 +307,7 @@ class Pipeline:
             operand, mem_values = memory.read()
 
             t0 = time.perf_counter_ns()
-            read = affinity(operand, query_operand(query, selection), cfg.top_k, self._scores)
+            read = affinity(operand, query_operand(query, selection), cfg.top_k, self._scratch)
             feat = readout(mem_values, read)
             read_ns += time.perf_counter_ns() - t0
             readouts.append(feat)

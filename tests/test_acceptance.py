@@ -16,14 +16,11 @@ import numpy.testing as npt
 from xmem import (
     FeatureDims,
     GruWeights,
-    KeyBlock,
     Pipeline,
     PipelineConfig,
     QueryBlock,
     SelectionBlock,
     SensoryState,
-    ShrinkageVector,
-    ValueBlock,
     affinity,
     gru_step,
     memory_operand,
@@ -310,27 +307,27 @@ def test_criterion_09_potentiation_hull_and_singleton():
     for _ in range(1000):
         n = int(rng.integers(2, 60))
         c_v = int(rng.integers(1, 9))
-        keys = KeyBlock(rng.uniform(-1, 1, (3, n)).astype(np.float32))
-        shrink = ShrinkageVector(rng.uniform(1, 8, n).astype(np.float32))
-        values = ValueBlock(rng.uniform(-3, 3, (c_v, n)).astype(np.float32))
+        keys = rng.uniform(-1, 1, (3, n)).astype(np.float32)
+        shrink = rng.uniform(1, 8, n).astype(np.float32)
+        values = rng.uniform(-3, 3, (c_v, n)).astype(np.float32)
         p = int(rng.integers(1, n + 1))
         idx = sorted(rng.choice(n, size=p, replace=False).tolist())
-        operand = memory_operand(keys.data, shrink.data)
+        operand = memory_operand(keys, shrink)
         _, _, proto_values = potentiate(keys, shrink, values, operand, idx, top_k=16)
-        lo = values.data.min(axis=1, keepdims=True) - 1e-5
-        hi = values.data.max(axis=1, keepdims=True) + 1e-5
-        if not ((proto_values.data >= lo).all() and (proto_values.data <= hi).all()):
+        lo = values.min(axis=1, keepdims=True) - 1e-5
+        hi = values.max(axis=1, keepdims=True) + 1e-5
+        if not ((proto_values >= lo).all() and (proto_values <= hi).all()):
             hull_violations += 1
 
-    keys = KeyBlock(rng.uniform(-1, 1, (3, 1)).astype(np.float32))
-    shrink = ShrinkageVector(rng.uniform(1, 8, 1).astype(np.float32))
-    values = ValueBlock(rng.uniform(-3, 3, (4, 1)).astype(np.float32))
-    operand = memory_operand(keys.data, shrink.data)
+    keys = rng.uniform(-1, 1, (3, 1)).astype(np.float32)
+    shrink = rng.uniform(1, 8, 1).astype(np.float32)
+    values = rng.uniform(-3, 3, (4, 1)).astype(np.float32)
+    operand = memory_operand(keys, shrink)
     pk, ps, pv = potentiate(keys, shrink, values, operand, [0], top_k=16)
     singleton_exact = (
-        pk.data.tobytes() == keys.data.tobytes()
-        and pv.data.tobytes() == values.data.tobytes()
-        and ps.data.tobytes() == shrink.data.tobytes()
+        pk.tobytes() == keys.tobytes()
+        and pv.tobytes() == values.tobytes()
+        and ps.tobytes() == shrink.tobytes()
     )
     ok = hull_violations == 0 and singleton_exact
     _report(9, ok, "potentiation convex hull + singleton identity",

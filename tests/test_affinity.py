@@ -1,4 +1,5 @@
 import importlib
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from xmem import (
     ContractError,
     QueryBlock,
+    ReadScratch,
     SelectionBlock,
     ShapeError,
     affinity,
@@ -398,3 +400,86 @@ def test_increasing_shrinkage_never_gains_mass():
         s2[i] *= 3.0
         mass2 = usage_mass(affinity(*_operands(k, s2, q, e), 4), 12)
         assert mass2[i] <= mass[i] + 1e-5
+
+
+# -- threaded read -------------------------------------------------------------
+
+
+def _threaded(workers):
+    """Reads with a scratch split over `workers` threads, 4 query rows a block."""
+    return mock.patch.multiple(affinity_module, _cores=lambda: workers, _READ_ROWS=4)
+
+
+def _thread_spy(name, threads):
+    """Wraps a block-level helper to record the threads that call it."""
+    real = getattr(affinity_module, name)
+
+    def spy(*args):
+        threads.add(threading.get_ident())
+        return real(*args)
+
+    return mock.patch.object(affinity_module, name, spy)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    n=st.integers(1, 40),
+    hw=st.integers(5, 30),
+    top_k=st.sampled_from([1, 3, 30]),
+    levels=st.sampled_from([None, 2]),
+    workers=st.integers(2, 4),
+)
+# an uneven last block, tied scores, n < top_k and n = 1
+@example(seed=1, n=20, hw=9, top_k=3, levels=None, workers=2)
+@example(seed=2, n=20, hw=13, top_k=3, levels=2, workers=3)
+@example(seed=3, n=7, hw=12, top_k=30, levels=None, workers=4)
+@example(seed=4, n=1, hw=9, top_k=3, levels=None, workers=2)
+def test_threaded_read_is_byte_identical_to_the_serial_read(seed, n, hw, top_k, levels, workers):
+    rng = np.random.default_rng(seed)
+    if levels is None:
+        sim = -rng.uniform(0, 10, (hw, n)).astype(np.float32)
+    else:
+        sim = -rng.integers(0, levels, (hw, n)).astype(np.float32)
+    # against an identity operand the scores are sim itself, ties included
+    operand = np.eye(n, dtype=np.float32)
+    values = rng.uniform(-1, 1, (n, 5)).astype(np.float32)
+    threads = set()
+    with _threaded(workers):
+        serial = affinity(operand, sim, top_k)
+        serial_out = readout(values, serial)
+        scratch = ReadScratch()
+        with _thread_spy("_read_rows", threads), _thread_spy("_readout_rows", threads):
+            for _ in range(2):  # the second read reuses the scratch
+                threaded = affinity(operand, sim, top_k, scratch)
+                threaded_out = readout(values, threaded)
+                assert threaded[0].tobytes() == serial[0].tobytes()
+                assert threaded[1].tobytes() == serial[1].tobytes()
+                assert threaded_out.tobytes() == serial_out.tobytes()
+                assert usage_mass(threaded, n).tobytes() == usage_mass(serial, n).tobytes()
+    assert len(threads) > 1
+
+
+@pytest.mark.parametrize("helper", ["_read_rows", "_readout_rows"])
+@pytest.mark.parametrize("failing", ["caller", "worker"])
+def test_read_failure_reaches_the_caller_unchanged(helper, failing):
+    rng = np.random.default_rng(20)
+    operand, rhs = _operands(*_random_instance(rng, c_k=3, n=20, hw=14))
+    values = rng.uniform(-1, 1, (20, 4)).astype(np.float32)
+    error = RuntimeError(f"{helper} failed on the {failing} thread")
+    caller = threading.get_ident()
+    real = getattr(affinity_module, helper)
+
+    def fail(*args):
+        if (threading.get_ident() == caller) == (failing == "caller"):
+            raise error
+        return real(*args)
+
+    with _threaded(3):
+        serial = affinity(operand, rhs, 5)
+        with mock.patch.object(affinity_module, helper, fail), pytest.raises(RuntimeError) as info:
+            readout(values, affinity(operand, rhs, 5, ReadScratch()))
+        assert info.value is error
+        # the pool keeps serving reads after a failed one
+        threaded = affinity(operand, rhs, 5, ReadScratch())
+    assert threaded[1].tobytes() == serial[1].tobytes()

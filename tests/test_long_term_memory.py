@@ -24,28 +24,35 @@ from xmem.oracle import oracle_top_p
 
 
 def _candidates(rng, n, c_k=3, c_v=4):
+    """Channel-major candidate keys, shrinkage and values."""
     return (
-        KeyBlock(rng.uniform(-1, 1, (c_k, n)).astype(np.float32)),
-        ShrinkageVector(rng.uniform(1, 6, n).astype(np.float32)),
-        ValueBlock(rng.uniform(-2, 2, (c_v, n)).astype(np.float32)),
+        rng.uniform(-1, 1, (c_k, n)).astype(np.float32),
+        rng.uniform(1, 6, n).astype(np.float32),
+        rng.uniform(-2, 2, (c_v, n)).astype(np.float32),
     )
 
 
+def _frame(rng):
+    """One frame of candidates as the blocks `append_frame` takes."""
+    keys, shrink, values = _candidates(rng, LT_DIMS.hw(), c_k=2, c_v=2)
+    return KeyBlock(keys), ShrinkageVector(shrink), ValueBlock(values)
+
+
 def _potentiate(keys, shrink, values, indices, top_k):
-    """potentiate over candidates given as blocks, with their memory operand."""
-    operand = memory_operand(keys.data, shrink.data)
+    """potentiate over candidates, with their memory operand."""
+    operand = memory_operand(keys, shrink)
     return potentiate(keys, shrink, values, operand, indices, top_k)
 
 
 # -- selection ---------------------------------------------------------------
 
 def test_select_top2_by_usage():
-    keys = KeyBlock(np.zeros((2, 3), dtype=np.float32))
+    keys = np.zeros((2, 3), dtype=np.float32)
     assert select_prototypes(keys, np.array([0.5, 0.1, 0.9]), p=2) == [0, 2]
 
 
 def test_select_ties_go_to_lower_index():
-    keys = KeyBlock(np.zeros((2, 5), dtype=np.float32))
+    keys = np.zeros((2, 5), dtype=np.float32)
     assert select_prototypes(keys, np.ones(5), p=3) == [0, 1, 2]
 
 
@@ -53,7 +60,7 @@ def test_select_matches_full_sort_oracle():
     rng = np.random.default_rng(31)
     hw = 12
     usage = rng.uniform(0, 1, 5 * hw)
-    keys = KeyBlock(np.zeros((2, 5 * hw), dtype=np.float32))
+    keys = np.zeros((2, 5 * hw), dtype=np.float32)
     assert select_prototypes(keys, usage, p=13) == oracle_top_p(usage, 13)
 
 
@@ -78,7 +85,7 @@ def test_lowest_is_the_head_of_a_stable_sort(values, which):
 
 
 def test_select_empty_candidates():
-    keys = KeyBlock(np.zeros((2, 0), dtype=np.float32))
+    keys = np.zeros((2, 0), dtype=np.float32)
     assert select_prototypes(keys, np.zeros(0), p=4) == []
 
 
@@ -106,9 +113,9 @@ def test_select_kmeans_unique_and_snapped():
 def _select_kmeans_sorting(candidate_keys, p, rng):
     """select_kmeans with its former snapping step: a stable sort of all
     candidates per centroid, walked to the first one not yet taken."""
-    n = candidate_keys.n
+    n = candidate_keys.shape[1]
     count = min(p, n)
-    pts = candidate_keys.data.T.astype(np.float64)
+    pts = candidate_keys.T.astype(np.float64)
     sq = (pts * pts).sum(axis=1)
     centroids = pts[rng.choice(n, size=count, replace=False)].copy()
     for _ in range(10):
@@ -134,7 +141,7 @@ def test_select_kmeans_snaps_like_the_sorting_model(seed):
     rng = np.random.default_rng(seed)
     distinct = int(rng.integers(2, 12))
     base = rng.uniform(-1, 1, (3, distinct)).astype(np.float32)
-    keys = KeyBlock(base[:, rng.integers(0, distinct, 40)])
+    keys = base[:, rng.integers(0, distinct, 40)]
     for p in (1, 5, distinct, 40, 45):
         got = select_kmeans(keys, np.zeros(40), p, np.random.default_rng(seed))
         assert got == _select_kmeans_sorting(keys, p, np.random.default_rng(seed))
@@ -143,7 +150,7 @@ def test_select_kmeans_snaps_like_the_sorting_model(seed):
 def test_select_kmeans_memory_stays_small():
     # distances come from the GEMM expansion; an n x p x c_k float64
     # temporary would be 32 MB here
-    keys = KeyBlock(np.random.default_rng(39).standard_normal((32, 2000)).astype(np.float32))
+    keys = np.random.default_rng(39).standard_normal((32, 2000)).astype(np.float32)
     tracemalloc.start()
     try:
         picked = select_kmeans(keys, np.zeros(2000), 64, np.random.default_rng(1))
@@ -160,19 +167,19 @@ def test_potentiate_singleton_is_identity():
     rng = np.random.default_rng(34)
     keys, shrink, values = _candidates(rng, 1)
     pk, ps, pv = _potentiate(keys, shrink, values, [0], top_k=30)
-    npt.assert_array_equal(pk.data, keys.data)
-    npt.assert_allclose(pv.data, values.data, atol=1e-6)
-    npt.assert_allclose(ps.data, shrink.data, atol=1e-6)
+    npt.assert_array_equal(pk, keys)
+    npt.assert_allclose(pv, values, atol=1e-6)
+    npt.assert_allclose(ps, shrink, atol=1e-6)
 
 
 def test_potentiate_identical_keys_average_values():
-    keys = KeyBlock(np.array([[0.5], [0.5]], dtype=np.float32)[:, [0, 0]])
-    shrink = ShrinkageVector(np.array([2.0, 2.0], dtype=np.float32))
-    values = ValueBlock(np.array([[1.0, 3.0], [10.0, 20.0]], dtype=np.float32))
+    keys = np.array([[0.5], [0.5]], dtype=np.float32)[:, [0, 0]]
+    shrink = np.array([2.0, 2.0], dtype=np.float32)
+    values = np.array([[1.0, 3.0], [10.0, 20.0]], dtype=np.float32)
     # top_k >= n: every candidate is retained
     pk, ps, pv = _potentiate(keys, shrink, values, [0], top_k=2)
-    npt.assert_allclose(pv.data[:, 0], [2.0, 15.0], atol=1e-6)
-    npt.assert_allclose(ps.data, [2.0], atol=1e-6)
+    npt.assert_allclose(pv[:, 0], [2.0, 15.0], atol=1e-6)
+    npt.assert_allclose(ps, [2.0], atol=1e-6)
 
 
 def test_potentiate_keys_are_bitwise_copies():
@@ -180,7 +187,7 @@ def test_potentiate_keys_are_bitwise_copies():
     keys, shrink, values = _candidates(rng, 40)
     idx = [3, 7, 21]
     pk, _, _ = _potentiate(keys, shrink, values, idx, top_k=10)
-    assert pk.data.tobytes() == keys.data[:, idx].tobytes()
+    assert pk.tobytes() == keys[:, idx].tobytes()
 
 
 def test_potentiate_values_stay_in_candidate_hull():
@@ -191,17 +198,17 @@ def test_potentiate_values_stay_in_candidate_hull():
         p = int(rng.integers(1, n + 1))
         idx = sorted(rng.choice(n, size=p, replace=False).tolist())
         _, ps, pv = _potentiate(keys, shrink, values, idx, top_k=8)
-        lo = values.data.min(axis=1, keepdims=True) - 1e-5
-        hi = values.data.max(axis=1, keepdims=True) + 1e-5
-        assert (pv.data >= lo).all() and (pv.data <= hi).all()
-        assert ps.data.min() >= 1.0
+        lo = values.min(axis=1, keepdims=True) - 1e-5
+        hi = values.max(axis=1, keepdims=True) + 1e-5
+        assert (pv >= lo).all() and (pv <= hi).all()
+        assert ps.min() >= 1.0
 
 
 def test_potentiate_empty_selection():
     rng = np.random.default_rng(37)
     keys, shrink, values = _candidates(rng, 5)
     pk, ps, pv = _potentiate(keys, shrink, values, [], top_k=4)
-    assert pk.n == 0 and ps.n == 0 and pv.n == 0
+    assert pk.shape == (3, 0) and ps.shape == (0,) and pv.shape == (4, 0)
 
 
 def test_potentiate_rejects_duplicate_indices():
@@ -225,14 +232,10 @@ def _commit(memory, count, seed=0):
     the report."""
     rng = np.random.default_rng(seed)
     frame = memory.inserted_at[-1] + 1
-    memory.append_frame(*_candidates(rng, LT_DIMS.hw(), c_k=2, c_v=2), frame_idx=frame)
+    memory.append_frame(*_frame(rng), frame_idx=frame)
     keys, shrinkage, values, _, _ = memory.candidates(frame)
     protos = np.arange(count)
-    return memory.commit(
-        KeyBlock(keys.data[:, protos]),
-        ShrinkageVector(shrinkage.data[protos]),
-        ValueBlock(values.data[:, protos]),
-    )
+    return memory.commit(keys[:, protos], shrinkage[protos], values[:, protos])
 
 
 def _set_lt_usage(memory, usage):
@@ -246,7 +249,7 @@ def _store(l_max=3, usages=()):
     memory = TrackMemory(LT_DIMS, t_min=2, t_max=3, l_max=l_max)
     rng = np.random.default_rng(40)
     for i in range(2):
-        memory.append_frame(*_candidates(rng, LT_DIMS.hw(), c_k=2, c_v=2), frame_idx=i)
+        memory.append_frame(*_frame(rng), frame_idx=i)
     if usages:
         _commit(memory, len(usages))
         _set_lt_usage(memory, usages)

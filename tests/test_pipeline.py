@@ -1,4 +1,7 @@
 import dataclasses
+import importlib
+import sys
+import threading
 
 import numpy as np
 import numpy.testing as npt
@@ -25,6 +28,9 @@ from xmem.oracle import (
     oracle_similarity,
 )
 from xmem.stream import StreamHeader, synthetic_frames
+
+# the module, not the function of the same name that xmem exports
+affinity_module = importlib.import_module("xmem.affinity")
 
 DIMS = FeatureDims(h=2, w=3, c_k=4, c_v=5, c_h=4)
 
@@ -264,16 +270,15 @@ def test_usage_mass_is_conserved_per_read():
 
 
 def test_reads_are_views_of_the_store(monkeypatch):
-    import xmem.pipeline as pl
-
+    # every block of a read, serial or threaded, is scored by `_read_rows`
     read_operands = []
-    real = pl.affinity
+    real = affinity_module._read_rows
 
     def spy(operand, *args):
         read_operands.append(operand)
         return real(operand, *args)
 
-    monkeypatch.setattr(pl, "affinity", spy)
+    monkeypatch.setattr(affinity_module, "_read_rows", spy)
     cfg = _config(r=2, t_min=2, t_max=4, p=6, l_max=30)
     frames = _frames(4)
     p = Pipeline(cfg, next(frames))
@@ -464,3 +469,73 @@ def test_config_rejects_bad_bounds():
         _config(insert_offset=7, r=5)
     with pytest.raises(ConfigError):
         _config(deep_update_mode="sometimes")
+
+
+# -- threaded read -------------------------------------------------------------
+
+# 300 query rows: three blocks of 128, the last one uneven
+THREADED_DIMS = FeatureDims(h=10, w=30, c_k=4, c_v=6, c_h=2)
+
+
+def _threaded_run(seed):
+    """Per frame: each object's readout and fused probabilities, then each
+    track's sensory state and usage, as bytes."""
+    cfg = _config(dims=THREADED_DIMS, r=2, t_min=2, t_max=4, p=20, l_max=30)
+    frames = _frames(14, objects=2, seed=seed, dims=THREADED_DIMS)
+    pipeline = Pipeline(cfg, next(frames))
+    out = []
+    evicted = 0
+    for idx, feats in enumerate(frames, start=1):
+        outputs = pipeline.step(feats, idx)
+        evicted += sum(o.events.evicted_count for o in outputs)
+        out.append(
+            [(o.readout.tobytes(), o.fused_probabilities.tobytes()) for o in outputs]
+            + [(t.sensory.h.tobytes(), t.memory.usage[: t.memory.n].tobytes())
+               for t in pipeline.tracks]
+        )
+    assert evicted > 0
+    return out
+
+
+def test_threaded_pipeline_matches_the_serial_pipeline(monkeypatch):
+    monkeypatch.setattr(affinity_module, "_cores", lambda: 1)
+    serial = _threaded_run(1)
+    monkeypatch.setattr(affinity_module, "_cores", lambda: 3)
+    assert _threaded_run(1) == serial
+
+
+def test_pipelines_stepped_from_two_threads_match_sequential_runs(monkeypatch):
+    # more read workers than cores, and frequent thread switches
+    monkeypatch.setattr(affinity_module, "_cores", lambda: 3)
+    sequential = [_threaded_run(seed) for seed in (1, 2)]
+    results = [None, None]
+    start = threading.Barrier(2, timeout=60)
+
+    def run(i):
+        start.wait()
+        results[i] = _threaded_run(i + 1)
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == sequential
+
+
+def test_single_block_reads_start_no_thread(monkeypatch):
+    # hw 6 reads one block, consolidation reads included
+    monkeypatch.setattr(affinity_module, "_pool", None)
+    before = threading.active_count()
+    frames = _frames(12)
+    p = Pipeline(_config(r=2, t_min=2, t_max=4, p=6, l_max=10), next(frames))
+    outputs = [p.step(feats, idx)[0] for idx, feats in enumerate(frames, start=1)]
+    assert any(out.events.consolidated for out in outputs)
+    assert affinity_module._pool is None
+    assert threading.active_count() == before

@@ -193,10 +193,12 @@ def test_snapshot_byte_layout_is_channel_major(tmp_path):
             frame_idx=frame,
         )
     memory.candidates(2)
-    keys = [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
-    shrinkage = [1.5, 2.5, 3.5]
-    values = [[10.0, 11.0, 12.0], [13.0, 14.0, 15.0], [16.0, 17.0, 18.0]]
-    memory.commit(KeyBlock(keys), ShrinkageVector(shrinkage), ValueBlock(values))
+    keys = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], dtype=np.float32)
+    shrinkage = np.array([1.5, 2.5, 3.5], dtype=np.float32)
+    values = np.array(
+        [[10.0, 11.0, 12.0], [13.0, 14.0, 15.0], [16.0, 17.0, 18.0]], dtype=np.float32
+    )
+    memory.commit(keys, shrinkage, values)
     usage = [0.1, 0.2, 0.3]  # not float32-representable: must stay float64
     memory.add_usage(np.concatenate([usage, np.zeros(memory.working.element_count)]))
     track = ObjectTrack(0, memory, SensoryState.zeros(2, 1, 4))

@@ -43,13 +43,9 @@ def _keys(memory, columns):
 def _consolidate(memory, frame_idx, picks=()):
     """Commit the picked candidates unchanged; returns the candidate keys."""
     keys, shrinkage, values, _, _ = memory.candidates(frame_idx)
-    offered = keys.data.copy()
+    offered = keys.copy()
     picks = list(picks)
-    memory.commit(
-        KeyBlock(keys.data[:, picks]),
-        ShrinkageVector(shrinkage.data[picks]),
-        ValueBlock(values.data[:, picks]),
-    )
+    memory.commit(keys[:, picks], shrinkage[picks], values[:, picks])
     return offered
 
 
@@ -127,11 +123,9 @@ def test_operand_follows_consolidations_with_eviction():
         if memory.frame_count == memory.t_max:
             keys, shrinkage, values, operand, _ = memory.candidates(i)
             assert np.shares_memory(operand, memory.operand)
-            picks = sorted(rng.choice(keys.n, size=4, replace=False).tolist())
+            picks = sorted(rng.choice(keys.shape[1], size=4, replace=False).tolist())
             evicted += memory.commit(
-                KeyBlock(keys.data[:, picks]),
-                ShrinkageVector(shrinkage.data[picks] * np.float32(1.5)),
-                ValueBlock(values.data[:, picks]),
+                keys[:, picks], shrinkage[picks] * np.float32(1.5), values[:, picks]
             ).evicted_count
             _assert_operand_in_step(memory)
     assert evicted > 0
@@ -171,18 +165,16 @@ def test_commit_sequence_matches_list_model(batch_sizes, l_max, seed, mode):
             if size is None:
                 break
             keys, shrinkage, values, _, _ = memory.candidates(frame)
-            picks = sorted(rng.choice(keys.n, size=size, replace=False).tolist())
-            protos = KeyBlock(keys.data[:, picks])
+            picks = sorted(rng.choice(keys.shape[1], size=size, replace=False).tolist())
+            protos = keys[:, picks]
             report = memory.commit(
-                protos,
-                ShrinkageVector(shrinkage.data[picks] * np.float32(1.5)),
-                ValueBlock(values.data[:, picks]),
+                protos, shrinkage[picks] * np.float32(1.5), values[:, picks]
             )
             evicted = max(0, len(model) + size - l_max)
             victims = sorted(sorted(range(len(model)), key=lambda row: model[row][1])[:evicted])
             evicted_usage = np.array([model[row][1] for row in victims], dtype=np.float64).sum()
             rows = victims + list(range(len(model), len(model) + size - evicted))
-            for row, key in zip(rows, protos.data.T):
+            for row, key in zip(rows, protos.T):
                 if row == len(model):
                     model.append(None)
                 model[row] = [key.tobytes(), 0.0]
@@ -259,7 +251,7 @@ def test_split_keeps_reference_and_newest():
     kept_keys = np.concatenate(
         [_keys(memory, slice(hw)), _keys(memory, slice(6 * hw, 10 * hw))], axis=1
     )
-    assert memory.candidates(95)[0].n == 5 * hw
+    assert memory.candidates(95)[0].shape[1] == 5 * hw
     _consolidate(memory, 95, picks=[0, 3])
     assert memory.inserted_at == [inserted[0]] + inserted[6:]
     assert memory.frame_count == 5
@@ -280,10 +272,10 @@ def test_split_bundle_matches_candidate_columns():
     hw = DIMS.hw()
     memory.add_usage(np.arange(memory.n, dtype=np.float64))
     keys, shrinkage, values, _, usage = memory.candidates(3)
-    npt.assert_array_equal(keys.data[:, :hw], _frame(1)[0].data)
-    npt.assert_array_equal(keys.data[:, hw:], _frame(2)[0].data)
-    npt.assert_array_equal(values.data[:, hw:], _frame(2)[2].data)
-    npt.assert_array_equal(shrinkage.data[:hw], _frame(1)[1].data)
+    npt.assert_array_equal(keys[:, :hw], _frame(1)[0].data)
+    npt.assert_array_equal(keys[:, hw:], _frame(2)[0].data)
+    npt.assert_array_equal(values[:, hw:], _frame(2)[2].data)
+    npt.assert_array_equal(shrinkage[:hw], _frame(1)[1].data)
     npt.assert_array_equal(usage, memory.normalized_usage(3)[hw : 3 * hw])
 
 
