@@ -16,11 +16,12 @@ _READOUT_ROWS query rows at a time.
 
 Query rows are independent, so the row blocks of one read can run on
 several threads. A read made with a `ReadScratch` splits its blocks over
-min(available CPUs, blocks) workers: the calling thread takes one share and
-a lazily started module-level thread pool the rest; numpy releases the GIL
-in the GEMM, the selection and the gather. Every worker runs the same
-block-level steps over the same block boundaries as a serial read and writes
-only its own rows of the outputs, so the result is byte-identical. A read of
+min(available CPUs, blocks) workers: the calling thread and a lazily started
+module-level thread pool each take one block, then the next free block as
+they finish one; numpy releases the GIL in the GEMM, the selection and the
+gather. Every block runs the same block-level steps over the same block
+boundaries as a serial read and writes only its own rows of the outputs, so
+the result is byte-identical whichever worker reads it. A read of
 a single block, or one made without a scratch, stays on the calling thread
 and starts no thread.
 
@@ -38,6 +39,7 @@ ascending index order), so results are reproducible run to run.
 
 from __future__ import annotations
 
+import collections
 import os
 import threading
 
@@ -229,18 +231,33 @@ if hasattr(os, "register_at_fork"):
 
 def _run(read_block, hw: int, workers: int) -> None:
     """Call read_block(w, rows) for each block of _READ_ROWS of hw query
-    rows, the blocks dealt round-robin to `workers` workers: w = 0 is this
-    thread, the rest run on the pool. Returns once every worker has
-    finished, raising the first failure, so no worker is left writing into
-    the outputs behind the caller's back."""
+    rows on `workers` workers: w = 0 is this thread, the rest run on the
+    pool. Worker w reads block w first; every later block goes to the first
+    worker to finish one, so a worker whose CPU is taken away for a while
+    (by another process, or by the hypervisor) delays the read by at most
+    the block it holds, not by a fixed share of the blocks. Returns once
+    every worker has finished, raising the first failure, so no worker is
+    left writing into the outputs behind the caller's back."""
+    if workers == 1:
+        for start in range(0, hw, _READ_ROWS):
+            read_block(0, slice(start, min(start + _READ_ROWS, hw)))
+        return
+    # popleft and clear are atomic, so the workers share the queue unlocked
+    queue = collections.deque(range(workers * _READ_ROWS, hw, _READ_ROWS))
 
     def share(w: int) -> None:
-        for start in range(w * _READ_ROWS, hw, workers * _READ_ROWS):
-            read_block(w, slice(start, min(start + _READ_ROWS, hw)))
+        start = w * _READ_ROWS
+        try:
+            while True:
+                read_block(w, slice(start, min(start + _READ_ROWS, hw)))
+                try:
+                    start = queue.popleft()
+                except IndexError:
+                    return
+        except BaseException:
+            queue.clear()  # the read has failed: no worker starts another block
+            raise
 
-    if workers == 1:
-        share(0)
-        return
     # imported with the pool, not with the module: the import alone raised the
     # peak RSS of the single-block lt-churn benchmark by about 5 MB
     from concurrent.futures import ThreadPoolExecutor, wait

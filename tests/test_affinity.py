@@ -483,3 +483,34 @@ def test_read_failure_reaches_the_caller_unchanged(helper, failing):
         # the pool keeps serving reads after a failed one
         threaded = affinity(operand, rhs, 5, ReadScratch())
     assert threaded[1].tobytes() == serial[1].tobytes()
+
+
+def test_a_held_up_worker_delays_the_read_by_one_block_only():
+    # 5 blocks on 2 workers: the pool worker is held in its first block until
+    # the caller has read every other block, which a fixed share of the
+    # blocks per worker would never let it do
+    rng = np.random.default_rng(21)
+    operand, rhs = _operands(*_random_instance(rng, c_k=3, n=20, hw=20))
+    caller = threading.get_ident()
+    blocks = {"caller": 0, "pool": 0}
+    rest_read = threading.Event()
+    real = affinity_module._read_rows
+
+    def held(*args):
+        if threading.get_ident() == caller:
+            real(*args)
+            blocks["caller"] += 1
+            if blocks["caller"] == 4:
+                rest_read.set()
+        else:
+            rest_read.wait(timeout=10)
+            real(*args)
+            blocks["pool"] += 1
+
+    with _threaded(2):
+        serial = affinity(operand, rhs, 5)
+        with mock.patch.object(affinity_module, "_read_rows", held):
+            threaded = affinity(operand, rhs, 5, ReadScratch())
+    assert blocks == {"caller": 4, "pool": 1}
+    assert threaded[0].tobytes() == serial[0].tobytes()
+    assert threaded[1].tobytes() == serial[1].tobytes()
