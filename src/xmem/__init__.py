@@ -9,7 +9,6 @@ memory into long-term prototypes, and LFU eviction under a hard element cap.
 """
 
 from .affinity import (
-    ReadScratch,
     affinity,
     memory_operand,
     query_operand,

@@ -14,16 +14,17 @@ weights one block of _READ_ROWS query rows at a time, so the (hw, n)
 similarity is never built; `readout` gathers the retained value rows for
 _READOUT_ROWS query rows at a time.
 
-Query rows are independent, so the row blocks of one read can run on
-several threads. A read made with a `ReadScratch` splits its blocks over
-min(available CPUs, blocks) workers: the calling thread and a lazily started
-module-level thread pool each take one block, then the next free block as
-they finish one; numpy releases the GIL in the GEMM, the selection and the
-gather. Every block runs the same block-level steps over the same block
-boundaries as a serial read and writes only its own rows of the outputs, so
-the result is byte-identical whichever worker reads it. A read of
-a single block, or one made without a scratch, stays on the calling thread
-and starts no thread.
+Query rows are independent, so every read splits its row blocks over
+max(1, min(available CPUs, blocks)) workers: the calling thread and a lazily
+started module-level thread pool each take one block, then the next free
+block as they finish one; numpy releases the GIL in the GEMM, the selection
+and the gather. Every block runs the same block-level steps over the same
+block boundaries as a serial read and writes only its own rows of the
+outputs, so the result is byte-identical whichever worker reads it. A read
+of a single block stays on the calling thread and starts no thread. Each
+thread scores and gathers in its own read buffer, which it keeps and grows
+only when a larger block is needed: a pool thread keeps its buffer for the
+life of the process, bounded by the largest block it has read.
 
 The top-k is selected exactly. Per row, the k-th largest of the maxima of g
 strided column groups bounds the k-th largest value from below (k distinct
@@ -160,46 +161,6 @@ def _retained_indices(block: np.ndarray, top_k: int) -> np.ndarray:
     return cand.reshape(b, top_k) - np.arange(0, b * n, n)[:, None]
 
 
-class ReadScratch:
-    """Per-worker storage for `affinity` and `readout`, reused across reads.
-
-    One flat float32 buffer per worker: a block of _READ_ROWS x n scores
-    during `affinity`, then the gather buffer during `readout`. A fresh block
-    per read costs page faults whenever the allocator hands its pages back to
-    the system between reads: about 200 per read at hw 64, n 1500, over a
-    third of the read's time. So the calling thread allocates the buffers
-    and keeps them, growing one only when n grows.
-
-    A read made with a ReadScratch also runs its row blocks, and the readout
-    of it its rows, on min(available CPUs, blocks) workers. One owner (a
-    pipeline) passes the same ReadScratch to every read, from one thread at a
-    time.
-    """
-
-    def __init__(self):
-        self._buffers: list[np.ndarray] = []
-
-    def buffers(self, workers: int, size: int) -> list[np.ndarray]:
-        """One flat float32 buffer of at least `size` entries per worker;
-        their contents are undefined."""
-        while len(self._buffers) < workers:
-            self._buffers.append(np.empty(0, dtype=np.float32))
-        for w in range(workers):
-            if self._buffers[w].size < size:
-                self._buffers[w] = np.empty(size, dtype=np.float32)
-        return self._buffers[:workers]
-
-
-class Read(tuple):
-    """The read `affinity` returns: the pair (indices, weights).
-
-    `scratch` is the ReadScratch the read was made with, or None; `readout`
-    of the read reuses its buffers and workers.
-    """
-
-    scratch: ReadScratch | None = None
-
-
 def _cores() -> int:
     """CPUs this process may run on."""
     try:
@@ -208,10 +169,24 @@ def _cores() -> int:
         return os.cpu_count() or 1
 
 
-def _workers(hw: int, scratch: ReadScratch | None) -> int:
-    """Threads a read of hw query rows runs on."""
-    blocks = -(-hw // _READ_ROWS)
-    return min(_cores(), blocks) if scratch is not None and blocks > 1 else 1
+_local = threading.local()
+
+
+def _buffer(size: int) -> np.ndarray:
+    """This thread's flat float32 read buffer, at least `size` entries; its
+    contents are undefined.
+
+    It holds a block of scores during `affinity`, then the gather buffer
+    during `readout`. A fresh block per read costs page faults whenever the
+    allocator hands its pages back to the system between reads: about 200
+    per read at hw 64, n 1500, over a third of the read's time. So each
+    thread keeps its buffer for its lifetime (a pool thread's, for the life
+    of the process), growing it only when a larger block is needed.
+    """
+    buffer = getattr(_local, "buffer", None)
+    if buffer is None or buffer.size < size:
+        buffer = _local.buffer = np.empty(size, dtype=np.float32)
+    return buffer
 
 
 # the concurrent.futures.ThreadPoolExecutor of the first threaded read
@@ -229,18 +204,20 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _run(read_block, hw: int, workers: int) -> None:
-    """Call read_block(w, rows) for each block of _READ_ROWS of hw query
-    rows on `workers` workers: w = 0 is this thread, the rest run on the
-    pool. Worker w reads block w first; every later block goes to the first
-    worker to finish one, so a worker whose CPU is taken away for a while
-    (by another process, or by the hypervisor) delays the read by at most
-    the block it holds, not by a fixed share of the blocks. Returns once
-    every worker has finished, raising the first failure, so no worker is
-    left writing into the outputs behind the caller's back."""
+def _run(read_block, hw: int) -> None:
+    """Call read_block(rows) for each block of _READ_ROWS of hw query rows
+    on max(1, min(available CPUs, blocks)) workers: worker 0 is this
+    thread, the rest run on the pool. Worker w reads block w first; every
+    later block goes to the first worker to finish one, so a worker whose
+    CPU is taken away for a while (by another process, or by the
+    hypervisor) delays the read by at most the block it holds, not by a
+    fixed share of the blocks. Returns once every worker has finished,
+    raising the first failure, so no worker is left writing into the
+    outputs behind the caller's back."""
+    workers = max(1, min(_cores(), -(-hw // _READ_ROWS)))
     if workers == 1:
         for start in range(0, hw, _READ_ROWS):
-            read_block(0, slice(start, min(start + _READ_ROWS, hw)))
+            read_block(slice(start, min(start + _READ_ROWS, hw)))
         return
     # popleft and clear are atomic, so the workers share the queue unlocked
     queue = collections.deque(range(workers * _READ_ROWS, hw, _READ_ROWS))
@@ -249,7 +226,7 @@ def _run(read_block, hw: int, workers: int) -> None:
         start = w * _READ_ROWS
         try:
             while True:
-                read_block(w, slice(start, min(start + _READ_ROWS, hw)))
+                read_block(slice(start, min(start + _READ_ROWS, hw)))
                 try:
                     start = queue.popleft()
                 except IndexError:
@@ -294,20 +271,19 @@ def _read_rows(
     np.divide(vals, vals.sum(axis=1, keepdims=True), out=weights)
 
 
-def affinity(
-    operand: np.ndarray, rhs: np.ndarray, top_k: int, scratch: ReadScratch | None = None
-) -> Read:
+def affinity(operand: np.ndarray, rhs: np.ndarray, top_k: int) -> tuple[np.ndarray, np.ndarray]:
     """Sparse softmax read of query rows rhs (hw, 2c_k+1) over memory operand
     (2c_k+1, n): per query row, the k = min(top_k, n) largest similarities
     are retained (ties toward the lower element index) and the softmax is
     taken over them; every other element has weight 0.
 
     Returns the read: the retained indices, ascending, and their float32
-    weights, both (hw, k). Temporaries stay at one block of _READ_ROWS x n
-    scores per worker. Without `scratch` the read runs on the calling thread
-    in a block of its own; with it, in the scratch's blocks, on
-    min(available CPUs, blocks) workers. The scores are those of `similarity`, whose
-    clamp at 0 is applied only where the selection and the softmax look.
+    weights, both (hw, k). The read runs its blocks of _READ_ROWS query rows
+    on max(1, min(available CPUs, blocks)) workers, each scoring its block
+    in its own thread's read buffer, so temporaries stay at one block of
+    _READ_ROWS x n scores per worker. The scores are those of `similarity`,
+    whose clamp at 0 is applied only where the selection and the softmax
+    look.
     """
     if top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
@@ -317,18 +293,14 @@ def affinity(
     k = min(top_k, n)
     kept = np.empty((hw, k), dtype=np.intp)
     weights = np.empty((hw, k), dtype=np.float32)
-    workers = _workers(hw, scratch)
     size = min(hw, _READ_ROWS) * n
-    blocks = scratch.buffers(workers, size) if scratch else [np.empty(size, np.float32)]
 
-    def read_block(w: int, rows: slice) -> None:
-        scores = blocks[w][: (rows.stop - rows.start) * n].reshape(-1, n)
+    def read_block(rows: slice) -> None:
+        scores = _buffer(size)[: (rows.stop - rows.start) * n].reshape(-1, n)
         _read_rows(operand, rhs[rows], k, scores, kept[rows], weights[rows])
 
-    _run(read_block, hw, workers)
-    read = Read((kept, weights))
-    read.scratch = scratch
-    return read
+    _run(read_block, hw)
+    return kept, weights
 
 
 def _readout_rows(
@@ -359,11 +331,11 @@ def readout(values: np.ndarray, read: tuple[np.ndarray, np.ndarray]) -> np.ndarr
     values are (n, c_v) element rows and read is (indices, weights) as
     returned by `affinity`. Output column j is
     sum_s weights[j, s] * values[indices[j, s]], over the retained slots in
-    ascending index order, skipping subnormal weights. The rows of
-    _READOUT_ROWS query positions are gathered at a time, so temporaries stay
-    at hw x c_v plus one gather buffer per worker. A read that `affinity`
-    made with a scratch is read out in the scratch's buffers, on the same
-    workers. Each output column is a convex combination of value rows.
+    ascending index order, skipping subnormal weights. The query rows are
+    split over workers as in `affinity`, and each worker gathers the rows of
+    _READOUT_ROWS query positions at a time into its thread's read buffer,
+    so temporaries stay at hw x c_v plus one gather buffer per worker. Each
+    output column is a convex combination of value rows.
     """
     # np.take of rows is ~12x slower on a transposed channel-major block than
     # on C-ordered rows; the store's rows are C-ordered and pass uncopied
@@ -381,15 +353,12 @@ def readout(values: np.ndarray, read: tuple[np.ndarray, np.ndarray]) -> np.ndarr
     hw, k = indices.shape
     c_v = values.shape[1]
     out = np.empty((hw, c_v), dtype=np.float32)
-    scratch = getattr(read, "scratch", None)
-    workers = _workers(hw, scratch)
     size = min(hw, _READOUT_ROWS) * k * c_v
-    gathers = scratch.buffers(workers, size) if scratch else [np.empty(size, np.float32)]
 
-    def read_block(w: int, rows: slice) -> None:
-        _readout_rows(values, indices[rows], weights[rows], gathers[w], out[rows])
+    def read_block(rows: slice) -> None:
+        _readout_rows(values, indices[rows], weights[rows], _buffer(size), out[rows])
 
-    _run(read_block, hw, workers)
+    _run(read_block, hw)
     return out.T
 
 

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .affinity import affinity, readout
-from .core_types import ShapeError
+from .affinity import affinity, query_operand, readout
+from .core_types import QueryBlock, SelectionBlock, ShapeError
 
 
 @dataclass(frozen=True)
@@ -143,12 +143,7 @@ def potentiate(
         raise ValueError("prototype index out of range")
 
     proto_keys = candidate_keys[:, idx]
-    # the query operand [2 e*q, -e, -sum(e*q*q)] at unit selection e = 1
-    rhs = np.concatenate([
-        2.0 * proto_keys,
-        np.full_like(proto_keys, -1.0),
-        -np.sum(proto_keys * proto_keys, axis=0, keepdims=True),
-    ]).T
+    rhs = query_operand(QueryBlock(proto_keys), SelectionBlock(np.ones_like(proto_keys)))
     read = affinity(candidate_operand, rhs, top_k)
     proto_values = readout(candidate_values.T, read)
     proto_shrinkage = readout(candidate_shrinkage[:, None], read)[0]

@@ -15,11 +15,12 @@ capacity. Reads take views of elements [0, n) and consolidation rewrites
 them in place.
 
 This module alone knows the layout. Blocks go in and come out channel-major
-(one column per element, as everywhere else); only `read` hands out the
-operand and the raw element-major value rows, for the read path. Every row
-is written by `_put`, which derives the operand column from the key and
-shrinkage it writes, or moved by `_move`, which moves its operand column
-with it, so the operand never goes stale. Contents are validated
+(one column per element, as everywhere else). Operand columns leave only
+through `read`, with the raw element-major value rows, for the read path,
+and through `candidates`, for potentiation. Every row is written by `_put`,
+which derives the operand column from the key and shrinkage it writes, or
+moved by `_move`, which moves its operand column with it, so the operand
+never goes stale. Contents are validated
 once, by the blocks passed to `append_frame`, never again: reads and
 consolidation take raw views of the buffer, and `commit` stores prototypes
 that `potentiate` derived from stored elements.

@@ -10,13 +10,13 @@ evicting least-used prototypes if the cap demands.
 
 One pipeline per stream; object tracks share nothing. The frame loop is
 sequential and runs on the calling thread, objects one after another; only
-the read inside it (`affinity` and `readout`) splits a frame's query row
-blocks over the available CPUs, through the pipeline's `ReadScratch`. Usage,
-the sensory cell and consolidation stay on the calling thread. Separate
-pipelines may be stepped from separate threads; one pipeline is stepped from
-one thread at a time. A frame's inputs are checked for every object before
-the first read, so a rejected frame changes no state and can be stepped
-again.
+the reads inside it (`affinity` and `readout`) split their query row blocks
+over the available CPUs, each worker in its own thread's read buffer. Usage,
+the sensory cell and the rest of consolidation stay on the calling thread.
+Separate pipelines may be stepped from separate threads; one pipeline is
+stepped from one thread at a time. A frame's inputs are checked for every
+object before the first read, so a rejected frame changes no state and can
+be stepped again.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Literal
 
 import numpy as np
 
-from .affinity import ReadScratch, affinity, query_operand, readout, usage_mass
+from .affinity import affinity, query_operand, readout, usage_mass
 from .core_types import (
     ConfigError,
     ContractError,
@@ -228,7 +228,6 @@ class Pipeline:
             )
         self.last_frame_idx = 0
         self.last_read_ns = 0
-        self._scratch = ReadScratch()
 
     # -- schedule ----------------------------------------------------------
 
@@ -307,7 +306,7 @@ class Pipeline:
             operand, mem_values = memory.read()
 
             t0 = time.perf_counter_ns()
-            read = affinity(operand, query_operand(query, selection), cfg.top_k, self._scratch)
+            read = affinity(operand, query_operand(query, selection), cfg.top_k)
             feat = readout(mem_values, read)
             read_ns += time.perf_counter_ns() - t0
             readouts.append(feat)

@@ -12,11 +12,11 @@ from hypothesis import strategies as st
 from xmem import (
     ContractError,
     QueryBlock,
-    ReadScratch,
     SelectionBlock,
     ShapeError,
     affinity,
     memory_operand,
+    potentiate,
     query_operand,
     readout,
     similarity,
@@ -259,14 +259,42 @@ def test_affinity_temporaries_stay_below_the_scores():
     rng = np.random.default_rng(19)
     hw, n = 1024, 8192
     operand, rhs = _operands(*_random_instance(rng, c_k=8, n=n, hw=hw))
-    tracemalloc.start()
-    kept, weights = affinity(operand, rhs, 30)
-    peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
+    # one worker: on more, each holds a score block of its own
+    with mock.patch.object(affinity_module, "_cores", lambda: 1):
+        tracemalloc.start()
+        kept, weights = affinity(operand, rhs, 30)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
     # the (hw, n) similarity alone would be hw * n * 4 bytes; one block of
     # scores is _READ_ROWS * n * 4, an eighth of it here
     assert kept.shape == weights.shape == (hw, 30)
     assert peak <= hw * n * 4 / 4
+
+
+def test_reads_on_one_thread_reuse_its_read_buffer():
+    rng = np.random.default_rng(22)
+    n, p, c_v = 8192, 128, 4
+    keys, shrinkage, queries, selection = _random_instance(rng, c_k=8, n=n, hw=p)
+    operand, rhs = _operands(keys, shrinkage, queries, selection)
+    values = rng.uniform(-1, 1, (n, c_v)).astype(np.float32)
+
+    def peak(read):
+        tracemalloc.start()
+        try:
+            read()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # p query rows are one block, read on this thread
+    readout(values, affinity(operand, rhs, 30))
+    assert peak(lambda: readout(values, affinity(operand, rhs, 30))) < p * n * 4
+    # a potentiation read of half the elements fits in the buffer of the larger read
+    m = n // 2
+    protos = list(range(0, m, m // p))
+    assert peak(
+        lambda: potentiate(keys[:, :m], shrinkage[:m], values[:m].T, operand[:, :m], protos, 30)
+    ) < p * m * 4
 
 
 @settings(max_examples=25, deadline=None)
@@ -406,7 +434,8 @@ def test_increasing_shrinkage_never_gains_mass():
 
 
 def _threaded(workers):
-    """Reads with a scratch split over `workers` threads, 4 query rows a block."""
+    """Reads split over up to `workers` threads, 4 query rows a block; with
+    1 worker, the serial read."""
     return mock.patch.multiple(affinity_module, _cores=lambda: workers, _READ_ROWS=4)
 
 
@@ -445,13 +474,13 @@ def test_threaded_read_is_byte_identical_to_the_serial_read(seed, n, hw, top_k, 
     operand = np.eye(n, dtype=np.float32)
     values = rng.uniform(-1, 1, (n, 5)).astype(np.float32)
     threads = set()
-    with _threaded(workers):
+    with _threaded(1):
         serial = affinity(operand, sim, top_k)
         serial_out = readout(values, serial)
-        scratch = ReadScratch()
+    with _threaded(workers):
         with _thread_spy("_read_rows", threads), _thread_spy("_readout_rows", threads):
-            for _ in range(2):  # the second read reuses the scratch
-                threaded = affinity(operand, sim, top_k, scratch)
+            for _ in range(2):  # the second read reuses the threads' buffers
+                threaded = affinity(operand, sim, top_k)
                 threaded_out = readout(values, threaded)
                 assert threaded[0].tobytes() == serial[0].tobytes()
                 assert threaded[1].tobytes() == serial[1].tobytes()
@@ -475,13 +504,14 @@ def test_read_failure_reaches_the_caller_unchanged(helper, failing):
             raise error
         return real(*args)
 
-    with _threaded(3):
+    with _threaded(1):
         serial = affinity(operand, rhs, 5)
+    with _threaded(3):
         with mock.patch.object(affinity_module, helper, fail), pytest.raises(RuntimeError) as info:
-            readout(values, affinity(operand, rhs, 5, ReadScratch()))
+            readout(values, affinity(operand, rhs, 5))
         assert info.value is error
         # the pool keeps serving reads after a failed one
-        threaded = affinity(operand, rhs, 5, ReadScratch())
+        threaded = affinity(operand, rhs, 5)
     assert threaded[1].tobytes() == serial[1].tobytes()
 
 
@@ -507,10 +537,10 @@ def test_a_held_up_worker_delays_the_read_by_one_block_only():
             real(*args)
             blocks["pool"] += 1
 
-    with _threaded(2):
+    with _threaded(1):
         serial = affinity(operand, rhs, 5)
-        with mock.patch.object(affinity_module, "_read_rows", held):
-            threaded = affinity(operand, rhs, 5, ReadScratch())
+    with _threaded(2), mock.patch.object(affinity_module, "_read_rows", held):
+        threaded = affinity(operand, rhs, 5)
     assert blocks == {"caller": 4, "pool": 1}
     assert threaded[0].tobytes() == serial[0].tobytes()
     assert threaded[1].tobytes() == serial[1].tobytes()

@@ -43,3 +43,16 @@ def test_runtime_imports_are_stdlib_and_numpy_only():
         if name.split(".")[0] not in allowed
     )
     assert offenders == [], f"engine modules import undeclared dependencies: {offenders}"
+
+
+def test_only_the_read_module_imports_threads():
+    # reads split their row blocks over threads inside `affinity`; no other
+    # module needs to know that
+    offenders = sorted(
+        f"{path.name}: {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "affinity.py"
+        for name in _imported_modules(ast.parse(path.read_text(), str(path)))
+        if name.split(".")[0] in {"threading", "concurrent"}
+    )
+    assert offenders == [], f"engine modules other than affinity.py import threads: {offenders}"
