@@ -22,7 +22,6 @@ from .core_types import (
     ContractError,
     FeatureDims,
     KeyBlock,
-    QueryBlock,
     SelectionBlock,
     ShapeError,
     ShrinkageVector,

@@ -46,7 +46,7 @@ import threading
 
 import numpy as np
 
-from .core_types import ContractError, QueryBlock, SelectionBlock, ShapeError
+from .core_types import ContractError, ShapeError
 
 # query rows scored, selected and weighted together; a block of scores is
 # _READ_ROWS x n float32 (7.5 MB at n = 14580). Far fewer rows starve the
@@ -86,14 +86,16 @@ def memory_operand(
     return out
 
 
-def query_operand(q: QueryBlock, e: SelectionBlock) -> np.ndarray:
-    """The similarity's query operand: (hw, 2c_k+1) rows
+def query_operand(q: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """The similarity's query operand: for channel-major queries q (c_k, hw)
+    and selection e (c_k, hw), the float32 (hw, 2c_k+1) rows
     [2 e*q, -e, -sum(e*q*q)], one per query position."""
-    if q.data.shape != e.data.shape:
-        raise ShapeError(f"query {q.data.shape} and selection {e.data.shape} differ")
-    qd, ed = q.data, e.data
-    eq = ed * qd
-    return np.concatenate([2.0 * eq, -ed, -np.sum(eq * qd, axis=0, keepdims=True)]).T
+    q = np.asarray(q, dtype=np.float32)
+    e = np.asarray(e, dtype=np.float32)
+    if q.shape != e.shape:
+        raise ShapeError(f"query {q.shape} and selection {e.shape} differ")
+    eq = e * q
+    return np.concatenate([2.0 * eq, -e, -np.sum(eq * q, axis=0, keepdims=True)]).T
 
 
 def _scores(operand: np.ndarray, rhs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

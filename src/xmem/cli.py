@@ -7,6 +7,7 @@ configuration error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import stream
@@ -107,8 +108,10 @@ def _validate(args) -> list[str]:
         problems.append(f"--objects ({args.objects}) must be >= 1")
     if args.cin is not None and args.cin < 1:
         problems.append(f"--cin ({args.cin}) must be >= 1")
-    if args.synthetic and args.drift < 0:
-        problems.append(f"--drift ({args.drift}) must be >= 0")
+    if args.seed < 0:
+        problems.append(f"--seed ({args.seed}) must be >= 0")
+    if args.synthetic and not (math.isfinite(args.drift) and args.drift >= 0):
+        problems.append(f"--drift ({args.drift}) must be finite and >= 0")
     if args.stream_out and not args.synthetic:
         problems.append("--stream-out requires --synthetic")
     return problems

@@ -1,22 +1,24 @@
 """Shared value types and range mappings used by every memory store.
 
 Blocks carry feature data channel-major, one column per memory element, and
-validate it once, when they are constructed: finite entries and each block's
-range. The track store (:mod:`xmem.memory`) keeps element-major rows
-internally and hands blocks out as views of its buffer. Engine arithmetic is
-single precision throughout; the double-precision path lives in
-:mod:`xmem.oracle`.
+validate it once, when they are constructed: finite entries, rank and each
+block's range. Blocks are built only where data enters the engine: by the
+pipeline as it ingests a frame, and by callers of the public constructors
+and range mappings. Nothing derived from a block is checked again. The track
+store (:mod:`xmem.memory`) takes blocks in, keeps element-major rows
+internally and hands its contents out as read-only array views, not blocks.
+Engine arithmetic is single precision throughout; the double-precision path
+lives in :mod:`xmem.oracle`.
 
-A block's array is read-only through the block, but that does not make the
-data immutable: a block over a view of a track store changes when the store
-next writes in place (`append_frame`, `commit`), and is valid only until then.
-A block built from the caller's own array does not freeze that array either.
-Empty blocks (zero elements) are legal everywhere.
+A block's array is read-only through the block, but a block built from the
+caller's own array does not freeze that array: the caller can still change
+it. Empty blocks (zero elements) are legal everywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -93,120 +95,66 @@ class FeatureDims:
 
 
 @dataclass(frozen=True)
-class KeyBlock:
-    """c_k x n matrix; column j is the key of memory element j."""
+class _Block:
+    """A float32 array of rank `ndim`, finite and, when `bounds` is set,
+    within the closed range [lo, hi]; one column per element."""
 
     data: np.ndarray
+    ndim: ClassVar[int] = 2
+    bounds: ClassVar[tuple[float, float] | None] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "data", _frozen_f32(self.data, "KeyBlock"))
-        if self.data.ndim != 2:
-            raise ShapeError(f"KeyBlock must be 2-D, got shape {self.data.shape}")
-
-    @property
-    def c_k(self) -> int:
-        return self.data.shape[0]
+        name = type(self).__name__
+        data = _frozen_f32(self.data, name)
+        object.__setattr__(self, "data", data)
+        if data.ndim != self.ndim:
+            raise ShapeError(f"{name} must be {self.ndim}-D, got shape {data.shape}")
+        if self.bounds and data.size:
+            lo, hi = self.bounds
+            if data.min() < lo or data.max() > hi:
+                raise ValidationError(f"{name} entries must lie in [{lo:g}, {hi:g}]")
 
     @property
     def n(self) -> int:
-        return self.data.shape[1]
+        return self.data.shape[-1]
 
 
-@dataclass(frozen=True)
-class ValueBlock:
+class KeyBlock(_Block):
+    """c_k x n matrix; column j is the key of memory element j. A frame's
+    query is stored as its memory key, so it is a KeyBlock too."""
+
+
+class ValueBlock(_Block):
     """c_v x n matrix of value columns; aligned 1:1 with the owner's keys."""
 
-    data: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "data", _frozen_f32(self.data, "ValueBlock"))
-        if self.data.ndim != 2:
-            raise ShapeError(f"ValueBlock must be 2-D, got shape {self.data.shape}")
-
-    @property
-    def c_v(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.data.shape[1]
-
-
-@dataclass(frozen=True)
-class ShrinkageVector:
+class ShrinkageVector(_Block):
     """Per-element confidence scalars, every entry in [1, inf)."""
 
-    data: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "data", _frozen_f32(self.data, "ShrinkageVector"))
-        if self.data.ndim != 1:
-            raise ShapeError(f"ShrinkageVector must be 1-D, got shape {self.data.shape}")
-        if self.data.size and self.data.min() < 1.0:
-            raise ValidationError("ShrinkageVector entries must be >= 1")
-
-    @property
-    def n(self) -> int:
-        return self.data.shape[0]
+    ndim = 1
+    bounds = (1.0, np.inf)
 
 
-@dataclass(frozen=True)
-class SelectionBlock:
+class SelectionBlock(_Block):
     """Per-query channel weights, c_k x m, every entry in [0, 1]."""
 
-    data: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "data", _frozen_f32(self.data, "SelectionBlock"))
-        if self.data.ndim != 2:
-            raise ShapeError(f"SelectionBlock must be 2-D, got shape {self.data.shape}")
-        if self.data.size and (self.data.min() < 0.0 or self.data.max() > 1.0):
-            raise ValidationError("SelectionBlock entries must lie in [0, 1]")
-
-    @property
-    def c_k(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.data.shape[1]
-
-
-@dataclass(frozen=True)
-class QueryBlock:
-    """c_k x hw matrix of query columns for the current frame."""
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "data", _frozen_f32(self.data, "QueryBlock"))
-        if self.data.ndim != 2:
-            raise ShapeError(f"QueryBlock must be 2-D, got shape {self.data.shape}")
-
-    @property
-    def c_k(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def hw(self) -> int:
-        return self.data.shape[1]
+    bounds = (0.0, 1.0)
 
 
 def map_shrinkage(raw) -> ShrinkageVector:
-    """Map raw scalars onto the [1, inf) shrinkage range via x**2 + 1."""
+    """Map raw scalars onto the [1, inf) shrinkage range via x**2 + 1.
+
+    Non-finite input, and input whose square overflows float32, is rejected
+    by the ShrinkageVector it builds."""
     arr = np.asarray(raw, dtype=np.float32)
-    if arr.ndim != 1:
-        raise ShapeError(f"raw shrinkage must be 1-D, got shape {arr.shape}")
-    if arr.size and not np.isfinite(arr).all():
-        raise ValidationError("raw shrinkage contains non-finite entries")
-    return ShrinkageVector(arr * arr + np.float32(1.0))
+    with np.errstate(over="ignore"):
+        return ShrinkageVector(arr * arr + np.float32(1.0))
 
 
 def map_selection(raw) -> SelectionBlock:
     """Map raw scalars onto the [0, 1] selection range via a logistic sigmoid."""
     arr = np.asarray(raw, dtype=np.float32)
-    if arr.ndim != 2:
-        raise ShapeError(f"raw selection must be 2-D, got shape {arr.shape}")
+    # checked before the sigmoid, which maps +-inf to a finite 0 or 1
     if arr.size and not np.isfinite(arr).all():
         raise ValidationError("raw selection contains non-finite entries")
     return SelectionBlock(sigmoid(arr))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .affinity import affinity, query_operand, readout
-from .core_types import QueryBlock, SelectionBlock, ShapeError
+from .core_types import ShapeError
 
 
 @dataclass(frozen=True)
@@ -129,7 +129,9 @@ def potentiate(
     values (c_v, n), with their (2c_k+1, n) memory operand, as
     `TrackMemory.candidates` gives them (or `affinity.memory_operand` builds
     the operand); the prototypes are returned the same way, keys (c_k, p),
-    shrinkage (p,) and values (c_v, p). Nothing is re-validated.
+    shrinkage (p,) and values (c_v, p). The candidates were checked when
+    they entered the store, so neither they nor the prototypes built from
+    them are checked again, and no block is built.
 
     Prototype keys are exact copies of the selected candidate columns. Values
     and shrinkage are affinity-weighted averages over all candidates, with
@@ -143,7 +145,7 @@ def potentiate(
         raise ValueError("prototype index out of range")
 
     proto_keys = candidate_keys[:, idx]
-    rhs = query_operand(QueryBlock(proto_keys), SelectionBlock(np.ones_like(proto_keys)))
+    rhs = query_operand(proto_keys, np.ones_like(proto_keys))
     read = affinity(candidate_operand, rhs, top_k)
     proto_values = readout(candidate_values.T, read)
     proto_shrinkage = readout(candidate_shrinkage[:, None], read)[0]

@@ -14,16 +14,17 @@ operand alone starts small and doubles as elements arrive, up to the
 capacity. Reads take views of elements [0, n) and consolidation rewrites
 them in place.
 
-This module alone knows the layout. Blocks go in and come out channel-major
-(one column per element, as everywhere else). Operand columns leave only
-through `read`, with the raw element-major value rows, for the read path,
-and through `candidates`, for potentiation. Every row is written by `_put`,
-which derives the operand column from the key and shrinkage it writes, or
-moved by `_move`, which moves its operand column with it, so the operand
-never goes stale. Contents are validated
-once, by the blocks passed to `append_frame`, never again: reads and
-consolidation take raw views of the buffer, and `commit` stores prototypes
-that `potentiate` derived from stored elements.
+This module alone knows the layout. Blocks go in channel-major (one column
+per element, as everywhere else) and contents come out as read-only
+channel-major array views: `blocks` for any range of elements. Operand
+columns leave only through `read`, with the raw element-major value rows,
+for the read path, and through `candidates`, for potentiation. Every row is
+written by `_put`, which derives the operand column from the key and
+shrinkage it writes, or moved by `_move`, which moves its operand column
+with it, so the operand never goes stale. Contents are validated once, by
+the blocks passed to `append_frame`, and never again: this module builds no
+block; reads, snapshots and consolidation take raw views of the buffer; and
+`commit` stores prototypes that `potentiate` derived from stored elements.
 
 Single-writer: exactly one pipeline owns and mutates an instance.
 """
@@ -119,15 +120,15 @@ class TrackMemory:
         """
         return _read_only(self.operand[:, : self.n], self.values[: self.n])
 
-    def blocks(self, columns: slice) -> tuple[KeyBlock, ShrinkageVector, ValueBlock]:
-        """Channel-major blocks over the given elements; nothing is copied.
+    def blocks(self, columns: slice) -> tuple[np.ndarray, ...]:
+        """Read-only channel-major views of the given elements: keys
+        (c_k, m), shrinkage (m,) and values (c_v, m).
 
-        Like `read`, they are valid only until the next append_frame or commit.
+        Like `read`'s, they are neither copied nor re-validated, and valid
+        only until the next append_frame or commit.
         """
-        return (
-            KeyBlock(self.keys[columns].T),
-            ShrinkageVector(self.shrinkage[columns]),
-            ValueBlock(self.values[columns].T),
+        return _read_only(
+            self.keys[columns].T, self.shrinkage[columns], self.values[columns].T
         )
 
     def append_frame(
@@ -197,10 +198,7 @@ class TrackMemory:
         count = (self.t_max - self.t_min) * hw
         columns = slice(first, first + count)
         usage = self.normalized_usage(current_frame_idx)[hw : hw + count]
-        return (*_read_only(
-            self.keys[columns].T, self.shrinkage[columns], self.values[columns].T,
-            self.operand[:, columns],
-        ), usage)
+        return (*self.blocks(columns), *_read_only(self.operand[:, columns]), usage)
 
     def commit(
         self, proto_keys: np.ndarray, proto_shrinkage: np.ndarray, proto_values: np.ndarray

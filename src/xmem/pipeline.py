@@ -33,7 +33,6 @@ from .core_types import (
     ContractError,
     FeatureDims,
     KeyBlock,
-    QueryBlock,
     ShapeError,
     ValidationError,
     ValueBlock,
@@ -218,7 +217,7 @@ class Pipeline:
             memory = TrackMemory(
                 dims, config.t_min, config.t_max, config.l_max, config.unbounded
             )
-            memory.append_frame(KeyBlock(query.data), shrinkage, values, frame_idx=0)
+            memory.append_frame(query, shrinkage, values, frame_idx=0)
             self.tracks.append(
                 ObjectTrack(
                     object_id=obj_id,
@@ -259,7 +258,7 @@ class Pipeline:
         use_values = insert or cfg.deep_update_mode == "every_frame"
         # by field name; a mapper raises ValidationError on bad entries
         mappers = {
-            "raw_query": QueryBlock,
+            "raw_query": KeyBlock,
             "raw_shrinkage": map_shrinkage,
             "raw_selection": map_selection,
             "values": ValueBlock if use_values else lambda _: None,
@@ -306,7 +305,7 @@ class Pipeline:
             operand, mem_values = memory.read()
 
             t0 = time.perf_counter_ns()
-            read = affinity(operand, query_operand(query, selection), cfg.top_k)
+            read = affinity(operand, query_operand(query.data, selection.data), cfg.top_k)
             feat = readout(mem_values, read)
             read_ns += time.perf_counter_ns() - t0
             readouts.append(feat)
@@ -320,7 +319,7 @@ class Pipeline:
 
             report = None
             if insert:
-                memory.append_frame(KeyBlock(query.data), shrinkage, values, frame_idx)
+                memory.append_frame(query, shrinkage, values, frame_idx)
                 if cfg.deep_update_mode == "every_rth":
                     track.sensory = deep_update(
                         track.sensory, _grid(values, dims), self.deep_weights

@@ -159,8 +159,9 @@ def synthetic_frames(
     drift * standard-normal steps, so drift=0 repeats frame 0 forever and
     large drift decorrelates consecutive frames.
     """
-    if drift < 0:
-        raise ValueError(f"drift must be >= 0, got {drift}")
+    # NaN compares false both ways, so a bare `drift < 0` would replay it as 0
+    if not (math.isfinite(drift) and drift >= 0):
+        raise ValueError(f"drift must be finite and >= 0, got {drift}")
     rng = np.random.default_rng(seed)
     step = np.float32(drift)
     states = [
@@ -208,7 +209,7 @@ def write_lt_snapshot(path: str | Path, tracks) -> None:
             memory, lt = track.memory, track.long_term.columns
             f.write(struct.pack("<I", memory.lt))
             for block in memory.blocks(lt):
-                f.write(np.asarray(block.data, dtype="<f4").tobytes())
+                f.write(np.asarray(block, dtype="<f4").tobytes())
             f.write(np.asarray(memory.usage[lt], dtype="<f8").tobytes())
 
 

@@ -18,8 +18,6 @@ from xmem import (
     GruWeights,
     Pipeline,
     PipelineConfig,
-    QueryBlock,
-    SelectionBlock,
     SensoryState,
     affinity,
     gru_step,
@@ -63,7 +61,7 @@ def test_criterion_01_vectorized_similarity_matches_triple_loop():
         q = rng.uniform(-1, 1, (c_k, hw)).astype(np.float32)
         e = rng.uniform(0, 1, (c_k, hw)).astype(np.float32)
         s = rng.uniform(1, 10, n).astype(np.float32)
-        eng = similarity(memory_operand(k, s), query_operand(QueryBlock(q), SelectionBlock(e)))
+        eng = similarity(memory_operand(k, s), query_operand(q, e))
         ref = oracle_similarity(k, s, q, e)
         worst = max(worst, float(np.abs(eng.T - ref).max()))
     elapsed = time.perf_counter() - start
@@ -85,7 +83,7 @@ def test_criterion_02_unit_terms_reduce_to_squared_distance():
         q = rng.uniform(-1, 1, (c_k, hw)).astype(np.float32)
         eng = similarity(
             memory_operand(k, np.ones(n, dtype=np.float32)),
-            query_operand(QueryBlock(q), SelectionBlock(np.ones((c_k, hw), dtype=np.float32))),
+            query_operand(q, np.ones((c_k, hw), dtype=np.float32)),
         )
         k64, q64 = k.astype(np.float64), q.astype(np.float64)
         dist = -(((k64[:, :, None] - q64[:, None, :]) ** 2).sum(axis=0))

@@ -11,8 +11,6 @@ from hypothesis import strategies as st
 
 from xmem import (
     ContractError,
-    QueryBlock,
-    SelectionBlock,
     ShapeError,
     affinity,
     memory_operand,
@@ -38,7 +36,7 @@ def _random_instance(rng, c_k, n, hw):
 
 def _operands(k, s, q, e):
     """The read's memory and query operands for channel-major inputs."""
-    return memory_operand(k, s), query_operand(QueryBlock(q), SelectionBlock(e))
+    return memory_operand(k, s), query_operand(q, e)
 
 
 def _scores(rng, low, high, n, hw):
@@ -107,7 +105,7 @@ def test_similarity_shape_mismatch_raises():
         memory_operand(np.zeros((3, 2)), np.ones(5))
     # query and selection differ
     with pytest.raises(ShapeError):
-        query_operand(QueryBlock(np.zeros((3, 4))), SelectionBlock(np.zeros((3, 5))))
+        query_operand(np.zeros((3, 4)), np.zeros((3, 5)))
     # 3-channel memory, 2-channel query
     with pytest.raises(ShapeError):
         similarity(*_operands(np.zeros((3, 2)), np.ones(2), np.zeros((2, 4)), np.zeros((2, 4))))

@@ -43,6 +43,9 @@ def test_map_shrinkage_rejects_non_finite():
         map_shrinkage([np.nan])
     with pytest.raises(ValidationError):
         map_shrinkage([np.inf])
+    # finite, but its square overflows float32
+    with pytest.raises(ValidationError):
+        map_shrinkage([1e20])
 
 
 def test_map_selection_midpoint():
@@ -66,6 +69,11 @@ def test_map_selection_matches_scalar_sigmoid():
 def test_map_selection_rejects_non_finite():
     with pytest.raises(ValidationError):
         map_selection([[np.nan, 0.0]])
+    # the sigmoid would map these to a finite 1 and 0
+    with pytest.raises(ValidationError):
+        map_selection([[np.inf]])
+    with pytest.raises(ValidationError):
+        map_selection([[-np.inf]])
 
 
 @given(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=50))

@@ -98,6 +98,16 @@ def test_zero_objects_is_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+# a negative seed reached numpy's seeding as a traceback; a NaN drift
+# replayed a static stream
+@pytest.mark.parametrize("flag,value", [("--seed", "-1"), ("--drift", "nan")])
+def test_out_of_range_generation_flag_is_usage_error(tmp_path, capsys, flag, value):
+    out = tmp_path / "m.csv"
+    assert main(SMALL + ["--frames", "3", flag, value, "--metrics-out", str(out)]) == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_zero_sensory_input_channels_is_usage_error(tmp_path, capsys):
     out = tmp_path / "m.csv"
     assert main(SMALL + ["--frames", "3", "--cin", "0", "--metrics-out", str(out)]) == 2

@@ -56,3 +56,28 @@ def test_only_the_read_module_imports_threads():
         if name.split(".")[0] in {"threading", "concurrent"}
     )
     assert offenders == [], f"engine modules other than affinity.py import threads: {offenders}"
+
+
+BLOCKS = {"KeyBlock", "ValueBlock", "ShrinkageVector", "SelectionBlock"}
+
+
+def _called_names(tree: ast.Module):
+    """The bare or attribute name of everything a module calls."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            yield func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def test_only_ingestion_builds_blocks():
+    # inputs are checked once, where they enter the engine: by the public
+    # constructors and range mappings, and by the pipeline's ingestion.
+    # Everything derived from checked data stays a plain array
+    offenders = sorted(
+        f"{path.name}: {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name not in {"core_types.py", "pipeline.py"}
+        for name in _called_names(ast.parse(path.read_text(), str(path)))
+        if name in BLOCKS
+    )
+    assert offenders == [], f"engine modules other than the ingestion build blocks: {offenders}"

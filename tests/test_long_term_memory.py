@@ -257,14 +257,14 @@ def _store(l_max=3, usages=()):
 
 
 def _lt_keys(memory):
-    return memory.blocks(memory.long_term.columns)[0].data
+    return memory.blocks(memory.long_term.columns)[0]
 
 
 def _next_prototypes(memory, count):
     """Keys of the prototypes the next `_commit(memory, count)` takes: the
     first columns of the candidate frame, the one after the reference."""
     start = memory.lt + LT_DIMS.hw()
-    return memory.blocks(slice(start, start + count))[0].data.copy()
+    return memory.blocks(slice(start, start + count))[0].copy()
 
 
 def test_commit_evicts_least_used():

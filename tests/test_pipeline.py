@@ -206,6 +206,34 @@ def test_unused_values_are_not_checked():
     assert p.last_frame_idx == 1
 
 
+def test_a_step_checks_each_input_once(monkeypatch):
+    # per object, every frame checks its query, shrinkage and selection, and
+    # an insertion frame its values too; storing the query as a key,
+    # consolidating and potentiating check nothing again
+    core_types = importlib.import_module("xmem.core_types")
+    real = core_types._frozen_f32
+    checked = []
+
+    def counting(data, name):
+        checked.append(name)
+        return real(data, name)
+
+    monkeypatch.setattr(core_types, "_frozen_f32", counting)
+    cfg = _config(r=2, t_min=2, t_max=4, p=6, l_max=30)
+    frames = _frames(7, objects=2, seed=9)
+    p = Pipeline(cfg, next(frames))
+    assert len(checked) == 8
+    counts, consolidated = [], []
+    for idx, feats in enumerate(frames, start=1):
+        checked.clear()
+        outputs = p.step(feats, idx)
+        counts.append(len(checked))
+        consolidated.append(all(out.events.consolidated for out in outputs))
+    # frame 6 is an insertion that consolidates both objects
+    assert consolidated == [False] * 5 + [True]
+    assert counts == [6, 8, 6, 8, 6, 8]
+
+
 # frame 0 seeds the memory, and its inputs are checked like any later frame's
 BAD_FIRST_FRAMES = {
     "tiny selection": ("raw_selection", lambda a: np.zeros((1, 1), np.float32), ShapeError),
@@ -324,7 +352,7 @@ def test_step_readout_matches_oracle_after_consolidations():
     consolidations = evictions = checked = 0
     for idx, feats in enumerate(frames, start=1):
         # the step reads the memory as it stands before this frame's insertion
-        keys, shrinkage, values = (b.data.copy() for b in memory.blocks(slice(memory.n)))
+        keys, shrinkage, values = (b.copy() for b in memory.blocks(slice(memory.n)))
         out = p.step(feats, idx)[0]
         if consolidations >= 2 and evictions >= 1:
             selection = 1.0 / (1.0 + np.exp(-feats[0].raw_selection.astype(np.float64)))
@@ -358,7 +386,7 @@ def test_deterministic_replay_is_bitwise():
             last = p.step(feats, idx)
         return (
             last[0].readout.tobytes(),
-            p.tracks[0].memory.blocks(p.tracks[0].long_term.columns)[0].data.tobytes(),
+            p.tracks[0].memory.blocks(p.tracks[0].long_term.columns)[0].tobytes(),
             p.tracks[0].sensory.h.tobytes(),
         )
 

@@ -81,8 +81,11 @@ def test_inter_frame_distance_grows_with_drift():
 
 
 def test_negative_drift_rejected():
-    with pytest.raises(ValueError):
-        next(synthetic_frames(0, HEADER, drift=-0.1))
+    # NaN and inf too: NaN compares false both ways, so a bare `drift < 0`
+    # check would replay it as a static stream
+    for drift in (-0.1, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            next(synthetic_frames(0, HEADER, drift=drift))
 
 
 def test_bad_magic_reported_at_offset_zero(tmp_path):
@@ -149,9 +152,9 @@ def test_snapshot_roundtrip(tmp_path):
         memory, lt = track.memory, track.long_term.columns
         assert track.long_term.element_count > 0
         keys, shrinkage, values = memory.blocks(lt)
-        npt.assert_array_equal(snap.keys, keys.data)
-        npt.assert_array_equal(snap.shrinkage, shrinkage.data)
-        npt.assert_array_equal(snap.values, values.data)
+        npt.assert_array_equal(snap.keys, keys)
+        npt.assert_array_equal(snap.shrinkage, shrinkage)
+        npt.assert_array_equal(snap.values, values)
         assert snap.usage.dtype == np.float64
         npt.assert_array_equal(snap.usage, memory.usage[lt])
 
@@ -174,9 +177,9 @@ def test_single_channel_snapshot_keeps_its_rows(tmp_path, c_k, c_v):
     assert snap.keys.shape == (c_k, count)
     assert snap.values.shape == (c_v, count)
     assert snap.shrinkage.shape == snap.usage.shape == (count,)
-    npt.assert_array_equal(snap.keys, keys.data)
-    npt.assert_array_equal(snap.shrinkage, shrinkage.data)
-    npt.assert_array_equal(snap.values, values.data)
+    npt.assert_array_equal(snap.keys, keys)
+    npt.assert_array_equal(snap.shrinkage, shrinkage)
+    npt.assert_array_equal(snap.values, values)
     npt.assert_array_equal(snap.usage, track.memory.usage[track.long_term.columns])
 
 

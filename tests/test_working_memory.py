@@ -37,7 +37,7 @@ def _filled(t_min, t_max, n_frames, r=10, l_max=50, unbounded=False):
 
 def _keys(memory, columns):
     """The stored keys of the given elements, c_k x m."""
-    return memory.blocks(columns)[0].data
+    return memory.blocks(columns)[0]
 
 
 def _consolidate(memory, frame_idx, picks=()):
@@ -87,7 +87,7 @@ def test_uncapped_store_grows_freely():
     for i in range(25):
         cols = slice(i * hw, (i + 1) * hw)
         for stored, appended in zip(memory.blocks(cols), _frame(i)):
-            npt.assert_array_equal(stored.data, appended.data)
+            npt.assert_array_equal(stored, appended.data)
     total = sum(np.pad(m, (0, memory.n - m.size)) for m in mass)
     npt.assert_allclose(memory.usage[: memory.n], total, atol=1e-9)
 
