@@ -1,7 +1,11 @@
 """Command line entry point for replaying or generating feature streams.
 
-Exit codes: 0 success, 1 runtime failure (e.g. malformed stream), 2 usage or
-configuration error.
+Nothing is read past a stream's header, and nothing is written, until the
+flags, the header and the pipeline configuration have passed their checks.
+
+Exit codes: 0 success; 1 runtime failure, reported on one `error:` line (a
+malformed stream with its byte offset, a missing or unwritable file with its
+path); 2 usage or configuration error.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ import math
 import sys
 
 from . import stream
-from .core_types import ConfigError, StreamFormatError, XmemError
+from .core_types import ConfigError, XmemError
 from .harness import run_stream, write_metrics_csv
 from .pipeline import PipelineConfig
 
@@ -128,23 +132,15 @@ def main(argv=None) -> int:
         return 2
 
     height, width = (8, 8) if args.small else (args.height, args.width)
-
     try:
         if args.input:
             header = stream.read_header(args.input)
-            frames = stream.iter_frames(args.input)
         else:
             header = stream.StreamHeader(
                 c_k=args.ck, c_v=args.cv, c_in=args.ch if args.cin is None else args.cin,
                 h=height, w=width,
                 frame_count=args.frames, object_count=args.objects,
             )
-            if args.stream_out:
-                stream.generate_synthetic(args.stream_out, args.seed, header, args.drift)
-                frames = stream.iter_frames(args.stream_out)
-            else:
-                frames = stream.synthetic_frames(args.seed, header, args.drift)
-
         config = PipelineConfig(
             dims=header.dims(c_h=args.ch),
             r=args.r,
@@ -159,19 +155,21 @@ def main(argv=None) -> int:
             unbounded=args.unbounded,
             sensory_input_channels=header.c_in,
         )
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except StreamFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-    try:
+        if args.input:
+            frames = stream.iter_frames(args.input)
+        elif args.stream_out:
+            stream.generate_synthetic(args.stream_out, args.seed, header, args.drift)
+            frames = stream.iter_frames(args.stream_out)
+        else:
+            frames = stream.synthetic_frames(args.seed, header, args.drift)
         pipeline, records = run_stream(frames, config, seed=args.seed)
         write_metrics_csv(args.metrics_out, records, no_timing=args.no_timing)
         if args.snapshot_out is not None:
             stream.write_lt_snapshot(args.snapshot_out, pipeline.tracks)
-    except XmemError as exc:
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (XmemError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

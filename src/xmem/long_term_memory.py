@@ -45,8 +45,6 @@ def lowest(values: np.ndarray, count: int) -> np.ndarray:
     count = min(count, n)
     if count <= 0:
         return np.zeros(0, dtype=np.intp)
-    if count == n:
-        return np.arange(n)
     bound = np.partition(values, count - 1)[count - 1]
     picked = values < bound
     ties = np.flatnonzero(values == bound)

@@ -255,7 +255,7 @@ class TrackMemory:
         self.usage[rows] = usage
         if isinstance(rows, slice):
             # written in place: a temporary per slice raised the lt-churn
-            # benchmark's peak RSS from 85.5 to 89.0 MB
+            # benchmark's peak RSS from 83.9 to 89.0 MB (medians of 6 pairs)
             memory_operand(keys.T, shrinkage, out=self.operand[:, rows])
         else:
             self.operand[:, rows] = memory_operand(keys.T, shrinkage)

@@ -29,7 +29,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .core_types import FeatureDims, StreamFormatError
+from .core_types import ConfigError, FeatureDims, StreamFormatError
 from .pipeline import ObjectFeatures
 
 MAGIC = b"XMFS"
@@ -39,7 +39,7 @@ SNAPSHOT_VERSION = 2
 _HEADER = struct.Struct("<4s8I")
 
 _FIELD_OFFSETS = {
-    "version": 4, "c_k": 8, "c_v": 12, "c_in": 16,
+    "c_k": 8, "c_v": 12, "c_in": 16,
     "h": 20, "w": 24, "frame_count": 28, "object_count": 32,
 }
 
@@ -88,11 +88,11 @@ def read_header(path: str | Path) -> StreamHeader:
     if magic != MAGIC:
         raise StreamFormatError(f"bad magic {magic!r}, want {MAGIC!r}", 0)
     if version != VERSION:
-        raise StreamFormatError(f"unsupported version {version}", _FIELD_OFFSETS["version"])
+        raise StreamFormatError(f"unsupported version {version}", 4)
     header = StreamHeader(c_k, c_v, c_in, h, w, frames, objects)
-    for name in ("c_k", "c_v", "c_in", "h", "w", "frame_count", "object_count"):
-        if getattr(header, name) < 1:
-            raise StreamFormatError(f"header field {name} must be >= 1", _FIELD_OFFSETS[name])
+    name = _bad_field(header)
+    if name:
+        raise StreamFormatError(f"header field {name} must be >= 1", _FIELD_OFFSETS[name])
     expected = _HEADER.size + header.frame_count * header.object_count * header.bytes_per_object
     actual = path.stat().st_size
     if actual != expected:
@@ -103,34 +103,37 @@ def read_header(path: str | Path) -> StreamHeader:
     return header
 
 
+def _bad_field(header: StreamHeader) -> str | None:
+    """The first size field outside the u32 fields' valid range [1, 2^32 - 1], if any."""
+    bad = [name for name in _FIELD_OFFSETS if not 1 <= getattr(header, name) < 2**32]
+    return bad[0] if bad else None
+
+
 def iter_frames(path: str | Path) -> Iterator[list[ObjectFeatures]]:
-    """Yield per-frame object feature lists, reading lazily."""
+    """Yield per-frame object feature lists, each block read lazily into its own array."""
     header = read_header(path)
     shapes = header.shapes()
     frame_bytes = header.object_count * header.bytes_per_object
     with open(path, "rb") as f:
         f.seek(_HEADER.size)
         for frame in range(header.frame_count):
-            objects = []
-            for _ in range(header.object_count):
-                blob = _read_exact(
-                    f, header.bytes_per_object, f"truncated frame {frame}",
-                    _HEADER.size + frame * frame_bytes,
+            what, offset = f"truncated frame {frame}", _HEADER.size + frame * frame_bytes
+            yield [
+                ObjectFeatures(
+                    **{name: _read_array(f, shape, "<f4", what, offset)
+                       for name, shape in shapes.items()}
                 )
-                fields = {}
-                offset = 0
-                for name, shape in shapes.items():
-                    count = math.prod(shape)
-                    arr = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
-                    fields[name] = arr.reshape(shape).copy()
-                    offset += 4 * count
-                objects.append(ObjectFeatures(**fields))
-            yield objects
+                for _ in range(header.object_count)
+            ]
 
 
 def write_stream(
     path: str | Path, header: StreamHeader, frames: Iterable[list[ObjectFeatures]]
 ) -> None:
+    """Write a stream file; a header it cannot hold raises ConfigError before the open."""
+    name = _bad_field(header)
+    if name:
+        raise ConfigError(f"header field {name} must lie in [1, 2^32 - 1]")
     fields = header.shapes()
     written = 0
     with open(path, "wb") as f:
@@ -227,8 +230,7 @@ def read_lt_snapshot(path: str | Path) -> list[SnapshotObject]:
         out = []
         offset = _SNAP_HEADER.size
         for _ in range(objects):
-            raw = _read_exact(f, 4, "truncated snapshot object header", offset)
-            (count,) = struct.unpack("<I", raw)
+            count = int(_read_array(f, (), "<u4", "truncated snapshot object header", offset))
             offset += 4
             blocks = []
             for shape, dtype in (((c_k, count), "<f4"), ((count,), "<f4"),
@@ -239,8 +241,7 @@ def read_lt_snapshot(path: str | Path) -> list[SnapshotObject]:
                 # checked before reading, so a corrupt count allocates nothing
                 if offset + nbytes > size:
                     raise StreamFormatError("truncated snapshot block", size)
-                raw = _read_exact(f, nbytes, "truncated snapshot block", offset)
-                blocks.append(np.frombuffer(raw, dtype=dtype).reshape(shape).copy())
+                blocks.append(_read_array(f, shape, dtype, "truncated snapshot block", offset))
                 offset += nbytes
             out.append(SnapshotObject(*blocks))
         if f.read(1):
@@ -248,10 +249,12 @@ def read_lt_snapshot(path: str | Path) -> list[SnapshotObject]:
     return out
 
 
-def _read_exact(f, nbytes: int, what: str, offset: int) -> bytes:
-    """nbytes from f; a short read (the file shrank or ends early) raises
-    StreamFormatError at `offset`, the start of the block being read."""
-    raw = f.read(nbytes)
-    if len(raw) < nbytes:
-        raise StreamFormatError(f"{what}: {len(raw)} of {nbytes} bytes", offset)
-    return raw
+def _read_array(f, shape, dtype: str, what: str, offset: int) -> np.ndarray:
+    """An array of `shape` read from f straight into its own buffer; a short
+    read (the file shrinks or ends early) raises StreamFormatError at
+    `offset`, the start of the frame or block being read."""
+    arr = np.empty(shape, dtype=dtype)
+    got = f.readinto(arr)
+    if got < arr.nbytes:
+        raise StreamFormatError(f"{what}: {got} of {arr.nbytes} bytes", offset)
+    return arr

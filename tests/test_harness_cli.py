@@ -98,6 +98,47 @@ def test_zero_objects_is_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+# the configuration is checked before the stream is generated: a zero field
+# wrote a full stream that the reader then refused, and a negative width
+# died in struct.pack with a traceback
+@pytest.mark.parametrize(
+    "flag,value,field", [("--height", "0", "h"), ("--ck", "0", "c_k"), ("--width", "-1", "w")]
+)
+def test_bad_dimension_writes_no_stream(tmp_path, capsys, flag, value, field):
+    out, stream_path = tmp_path / "m.csv", tmp_path / "s.xmfs"
+    full_grid = [arg for arg in SMALL if arg != "--small"]
+    code = main(
+        full_grid + ["--height", "8", "--width", "8", "--frames", "2", flag, value,
+                     "--stream-out", str(stream_path), "--metrics-out", str(out)]
+    )
+    assert code == 2
+    assert f"{field} must be >= 1" in capsys.readouterr().err
+    assert not stream_path.exists()
+    assert not out.exists()
+
+
+def _missing_input(tmp_path):
+    return ["--input", str(tmp_path / "absent.xmfs"), "--metrics-out", str(tmp_path / "m.csv")]
+
+
+def _unwritable_metrics(tmp_path):
+    return SMALL + ["--frames", "3", "--metrics-out", str(tmp_path / "no" / "m.csv")]
+
+
+def _unwritable_snapshot(tmp_path):
+    return SMALL + ["--frames", "3", "--metrics-out", str(tmp_path / "m.csv"),
+                    "--snapshot-out", str(tmp_path / "no" / "lt.xmlt")]
+
+
+# a missing or unwritable file escaped as a traceback
+@pytest.mark.parametrize("argv", [_missing_input, _unwritable_metrics, _unwritable_snapshot])
+def test_file_error_exits_one_with_one_error_line(tmp_path, capsys, argv):
+    assert main(argv(tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 # a negative seed reached numpy's seeding as a traceback; a NaN drift
 # replayed a static stream
 @pytest.mark.parametrize("flag,value", [("--seed", "-1"), ("--drift", "nan")])

@@ -81,3 +81,30 @@ def test_only_ingestion_builds_blocks():
         if name in BLOCKS
     )
     assert offenders == [], f"engine modules other than the ingestion build blocks: {offenders}"
+
+
+def _console_names(tree: ast.Module):
+    """Calls to `print`, and the names `sys.exit` and `sys.stderr`, however
+    they are reached."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "print":
+            yield "print"
+        elif (
+            isinstance(node, ast.Attribute)
+            and getattr(node.value, "id", None) == "sys"
+            and node.attr in {"exit", "stderr"}
+        ):
+            yield f"sys.{node.attr}"
+    yield from sorted(_imported_modules(tree) & {"sys.exit", "sys.stderr"})
+
+
+def test_only_the_cli_writes_to_the_console_or_exits():
+    # failures travel as exceptions to the CLI's one handler, which alone
+    # turns them into an `error:` line and an exit code
+    offenders = sorted(
+        f"{path.name}: {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "cli.py"
+        for name in _console_names(ast.parse(path.read_text(), str(path)))
+    )
+    assert offenders == [], f"engine modules other than cli.py use the console: {offenders}"

@@ -1,3 +1,4 @@
+import dataclasses
 import struct
 from pathlib import Path
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xmem import (
+    ConfigError,
     FeatureDims,
     KeyBlock,
     PipelineConfig,
@@ -135,6 +137,17 @@ def test_zero_field_rejected(tmp_path):
     with pytest.raises(StreamFormatError) as err:
         read_header(path)
     assert err.value.offset == 8
+
+
+# a header the format cannot hold was written in full (a zero field, which
+# the reader then refused) or died in struct.pack (a negative one)
+@pytest.mark.parametrize("field,value", [("c_k", 0), ("w", -1), ("frame_count", 2**32)])
+def test_unwritable_header_raises_before_the_file_opens(tmp_path, field, value):
+    path = tmp_path / "bad.xmfs"
+    header = dataclasses.replace(HEADER, **{field: value})
+    with pytest.raises(ConfigError, match=field):
+        generate_synthetic(path, seed=2, header=header, drift=0.1)
+    assert not path.exists()
 
 
 def test_snapshot_roundtrip(tmp_path):
