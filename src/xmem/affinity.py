@@ -20,11 +20,11 @@ started module-level thread pool each take one block, then the next free
 block as they finish one; numpy releases the GIL in the GEMM, the selection
 and the gather. Every block runs the same block-level steps over the same
 block boundaries as a serial read and writes only its own rows of the
-outputs, so the result is byte-identical whichever worker reads it. A read
-of a single block stays on the calling thread and starts no thread. Each
-thread scores and gathers in its own read buffer, which it keeps and grows
-only when a larger block is needed: a pool thread keeps its buffer for the
-life of the process, bounded by the largest block it has read.
+outputs, so the result is byte-identical whichever worker reads it. A
+serial read is the same loop on one worker, the calling thread. Each block
+scores or gathers in its own thread's read buffer, which the thread keeps
+and grows only when a larger block is needed: a pool thread keeps its
+buffer for the life of the process, bounded by the largest block it has read.
 
 The top-k is selected exactly. Per row, the k-th largest of the maxima of g
 strided column groups bounds the k-th largest value from below (k distinct
@@ -209,25 +209,21 @@ if hasattr(os, "register_at_fork"):
 def _run(read_block, hw: int) -> None:
     """Call read_block(rows) for each block of _READ_ROWS of hw query rows
     on max(1, min(available CPUs, blocks)) workers: worker 0 is this
-    thread, the rest run on the pool. Worker w reads block w first; every
-    later block goes to the first worker to finish one, so a worker whose
-    CPU is taken away for a while (by another process, or by the
-    hypervisor) delays the read by at most the block it holds, not by a
-    fixed share of the blocks. Returns once every worker has finished,
-    raising the first failure, so no worker is left writing into the
-    outputs behind the caller's back."""
+    thread, the rest run on the pool. Worker w reads block w, if hw has
+    one, then the next free block as it finishes one; a serial read is this
+    loop on one worker. So a worker whose CPU is taken away for a while (by
+    another process, or by the hypervisor) delays the read by at most the
+    block it holds, not by a fixed share of the blocks. Returns once every
+    worker has finished, raising the first failure, so no worker is left
+    writing into the outputs behind the caller's back."""
     workers = max(1, min(_cores(), -(-hw // _READ_ROWS)))
-    if workers == 1:
-        for start in range(0, hw, _READ_ROWS):
-            read_block(slice(start, min(start + _READ_ROWS, hw)))
-        return
     # popleft and clear are atomic, so the workers share the queue unlocked
     queue = collections.deque(range(workers * _READ_ROWS, hw, _READ_ROWS))
 
     def share(w: int) -> None:
         start = w * _READ_ROWS
         try:
-            while True:
+            while start < hw:
                 read_block(slice(start, min(start + _READ_ROWS, hw)))
                 try:
                     start = queue.popleft()
@@ -237,6 +233,8 @@ def _run(read_block, hw: int) -> None:
             queue.clear()  # the read has failed: no worker starts another block
             raise
 
+    if workers == 1:
+        return share(0)
     # imported with the pool, not with the module: the import alone raised the
     # peak RSS of the single-block lt-churn benchmark by about 5 MB
     from concurrent.futures import ThreadPoolExecutor, wait
@@ -256,12 +254,13 @@ def _run(read_block, hw: int) -> None:
 
 
 def _read_rows(
-    operand: np.ndarray, rhs: np.ndarray, k: int,
-    scores: np.ndarray, kept: np.ndarray, weights: np.ndarray,
+    operand: np.ndarray, rhs: np.ndarray, k: int, kept: np.ndarray, weights: np.ndarray
 ) -> None:
     """The read of one block of query rows rhs (b, 2c_k+1): scores it into
-    `scores` (b, n), then writes its retained indices into `kept` (b, k) and
-    their weights into `weights` (b, k)."""
+    b x n entries of this thread's read buffer, then writes its retained
+    indices into `kept` (b, k) and their weights into `weights` (b, k)."""
+    b, n = rhs.shape[0], operand.shape[1]
+    scores = _buffer(b * n)[: b * n].reshape(b, n)
     _scores(operand, rhs, out=scores)
     kept[:] = idx = _retained_indices(scores, k)
     vals = np.take_along_axis(scores, idx, axis=1)
@@ -295,25 +294,19 @@ def affinity(operand: np.ndarray, rhs: np.ndarray, top_k: int) -> tuple[np.ndarr
     k = min(top_k, n)
     kept = np.empty((hw, k), dtype=np.intp)
     weights = np.empty((hw, k), dtype=np.float32)
-    size = min(hw, _READ_ROWS) * n
-
-    def read_block(rows: slice) -> None:
-        scores = _buffer(size)[: (rows.stop - rows.start) * n].reshape(-1, n)
-        _read_rows(operand, rhs[rows], k, scores, kept[rows], weights[rows])
-
-    _run(read_block, hw)
+    _run(lambda rows: _read_rows(operand, rhs[rows], k, kept[rows], weights[rows]), hw)
     return kept, weights
 
 
 def _readout_rows(
-    values: np.ndarray, indices: np.ndarray, weights: np.ndarray,
-    gathered: np.ndarray, out: np.ndarray,
+    values: np.ndarray, indices: np.ndarray, weights: np.ndarray, out: np.ndarray
 ) -> None:
     """Readout rows `out` (b, c_v) of one block of queries, gathering the
-    retained value rows of _READOUT_ROWS queries at a time into the flat
-    buffer `gathered`."""
+    retained value rows of _READOUT_ROWS queries at a time into the first
+    min(b, _READOUT_ROWS) x k x c_v entries of this thread's read buffer."""
     b, k = indices.shape
     c_v = values.shape[1]
+    gathered = _buffer(min(b, _READOUT_ROWS) * k * c_v)
     for start in range(0, b, _READOUT_ROWS):
         stop = min(start + _READOUT_ROWS, b)
         rows = gathered[: (stop - start) * k * c_v].reshape(-1, c_v)
@@ -352,15 +345,9 @@ def readout(values: np.ndarray, read: tuple[np.ndarray, np.ndarray]) -> np.ndarr
     # potentiation read's readout (128 queries, c_v 512), where far
     # candidates get subnormal weights, took 2.3 ms instead of 0.6
     weights = np.where(np.abs(weights) < _TINY, np.float32(0.0), weights)
-    hw, k = indices.shape
-    c_v = values.shape[1]
-    out = np.empty((hw, c_v), dtype=np.float32)
-    size = min(hw, _READOUT_ROWS) * k * c_v
-
-    def read_block(rows: slice) -> None:
-        _readout_rows(values, indices[rows], weights[rows], _buffer(size), out[rows])
-
-    _run(read_block, hw)
+    hw = indices.shape[0]
+    out = np.empty((hw, values.shape[1]), dtype=np.float32)
+    _run(lambda rows: _readout_rows(values, indices[rows], weights[rows], out[rows]), hw)
     return out.T
 
 

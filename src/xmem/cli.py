@@ -5,7 +5,8 @@ flags, the header and the pipeline configuration have passed their checks.
 
 Exit codes: 0 success; 1 runtime failure, reported on one `error:` line (a
 malformed stream with its byte offset, a missing or unwritable file with its
-path); 2 usage or configuration error.
+path, an allocation the machine cannot serve with its size); 2 usage or
+configuration error.
 """
 
 from __future__ import annotations
@@ -169,7 +170,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (XmemError, OSError) as exc:
+    except (XmemError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -73,8 +73,6 @@ def select_random(
 ) -> list[int]:
     """Uniform random prototype choice (ablation baseline)."""
     n = candidate_keys.shape[1]
-    if n == 0:
-        return []
     picked = rng.choice(n, size=min(p, n), replace=False)
     return sorted(int(i) for i in picked)
 

@@ -231,7 +231,7 @@ class Pipeline:
     # -- schedule ----------------------------------------------------------
 
     def is_insertion_frame(self, frame_idx: int) -> bool:
-        return frame_idx % self.config.r == self.config.insert_offset % self.config.r
+        return frame_idx % self.config.r == self.config.insert_offset
 
     def _select(self, keys: np.ndarray, usage: np.ndarray, frame_idx: int) -> list[int]:
         cfg = self.config
@@ -312,7 +312,9 @@ class Pipeline:
             memory.add_usage(usage_mass(read, memory.n))
 
             track.sensory = gru_step(track.sensory, sensory_input, self.gru_weights)
-            if cfg.deep_update_mode == "every_frame":
+            if cfg.deep_update_mode == "every_frame" or (
+                insert and cfg.deep_update_mode == "every_rth"
+            ):
                 track.sensory = deep_update(
                     track.sensory, _grid(values, dims), self.deep_weights
                 )
@@ -320,10 +322,6 @@ class Pipeline:
             report = None
             if insert:
                 memory.append_frame(query, shrinkage, values, frame_idx)
-                if cfg.deep_update_mode == "every_rth":
-                    track.sensory = deep_update(
-                        track.sensory, _grid(values, dims), self.deep_weights
-                    )
                 if not cfg.unbounded and memory.frame_count == cfg.t_max:
                     cand_keys, *cand_rest, cand_usage = memory.candidates(frame_idx)
                     indices = self._select(cand_keys, cand_usage, frame_idx)

@@ -184,10 +184,9 @@ def generate_synthetic(
     seed: int,
     header: StreamHeader,
     drift: float,
-) -> StreamHeader:
+) -> None:
     """Write a synthetic stream to disk. Same seed, same bytes."""
     write_stream(path, header, synthetic_frames(seed, header, drift))
-    return header
 
 
 # -- long-term snapshot ------------------------------------------------------

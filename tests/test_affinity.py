@@ -1,3 +1,4 @@
+import concurrent.futures
 import importlib
 import threading
 import tracemalloc
@@ -542,3 +543,38 @@ def test_a_held_up_worker_delays_the_read_by_one_block_only():
     assert blocks == {"caller": 4, "pool": 1}
     assert threaded[0].tobytes() == serial[0].tobytes()
     assert threaded[1].tobytes() == serial[1].tobytes()
+
+
+def test_a_failed_block_starts_no_further_block():
+    # 20 blocks on 2 workers: the caller's first block fails once the pool
+    # worker has started block 1, which is held until the caller waits for
+    # it; the pool worker must then find the remaining blocks withdrawn
+    rng = np.random.default_rng(23)
+    operand, rhs = _operands(*_random_instance(rng, c_k=3, n=20, hw=80))
+    caller = threading.get_ident()
+    error = RuntimeError("the caller's block failed")
+    pool_started, caller_waits = threading.Event(), threading.Event()
+    pool_blocks = []
+    real_read, real_wait = affinity_module._read_rows, concurrent.futures.wait
+
+    def held(*args):
+        if threading.get_ident() == caller:
+            pool_started.wait(timeout=10)
+            raise error
+        pool_started.set()
+        caller_waits.wait(timeout=10)
+        real_read(*args)
+        pool_blocks.append(1)
+
+    def wait(*args, **kwargs):
+        caller_waits.set()
+        return real_wait(*args, **kwargs)
+
+    with _threaded(2), mock.patch.object(affinity_module, "_read_rows", held), \
+            mock.patch.object(concurrent.futures, "wait", wait), \
+            pytest.raises(RuntimeError) as info:
+        affinity(operand, rhs, 5)
+    assert info.value is error
+    assert caller_waits.is_set()
+    assert len(pool_blocks) == 1
+

@@ -139,6 +139,20 @@ def test_file_error_exits_one_with_one_error_line(tmp_path, capsys, argv):
     assert "Traceback" not in err
 
 
+# a store of 1e17 long-term elements asks for 1.39 EiB of keys, more than
+# any 64-bit address space holds, so the allocation fails at once; it
+# escaped as a numpy MemoryError traceback
+def test_unservable_allocation_exits_one_with_one_error_line(tmp_path, capsys):
+    out = tmp_path / "m.csv"
+    argv = ["--synthetic", "--small", "--ck", "4", "--cv", "4", "--ch", "4", "--frames", "3",
+            "--lt-max", "100000000000000000", "--metrics-out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 # a negative seed reached numpy's seeding as a traceback; a NaN drift
 # replayed a static stream
 @pytest.mark.parametrize("flag,value", [("--seed", "-1"), ("--drift", "nan")])
