@@ -52,35 +52,24 @@ def lowest(values: np.ndarray, count: int) -> np.ndarray:
     return np.flatnonzero(picked)
 
 
-def select_prototypes(
-    candidate_keys: np.ndarray, normalized_usage: np.ndarray, p: int
-) -> list[int]:
-    """Indices of the min(p, n) candidates with the largest normalized usage.
-
-    candidate_keys are channel-major (c_k, n), as in every selection
-    strategy. Ties resolve toward the lower index; the result is sorted
-    ascending.
-    """
+def select_prototypes(normalized_usage: np.ndarray, p: int) -> list[int]:
+    """Indices of the min(p, n) candidates with the largest normalized usage
+    (n,), sorted ascending; ties resolve toward the lower index."""
     usage = np.asarray(normalized_usage, dtype=np.float64)
-    n = candidate_keys.shape[1]
-    if usage.shape != (n,):
-        raise ShapeError(f"usage has shape {usage.shape}, want ({n},)")
+    if usage.ndim != 1:
+        raise ShapeError(f"usage has shape {usage.shape}, want (n,)")
     return lowest(-usage, p).tolist()
 
 
-def select_random(
-    candidate_keys: np.ndarray, normalized_usage: np.ndarray, p: int, rng: np.random.Generator
-) -> list[int]:
-    """Uniform random prototype choice (ablation baseline)."""
-    n = candidate_keys.shape[1]
+def select_random(n: int, p: int, rng: np.random.Generator) -> list[int]:
+    """Uniform random choice of min(p, n) of n candidates (ablation baseline)."""
     picked = rng.choice(n, size=min(p, n), replace=False)
     return sorted(int(i) for i in picked)
 
 
-def select_kmeans(
-    candidate_keys: np.ndarray, normalized_usage: np.ndarray, p: int, rng: np.random.Generator
-) -> list[int]:
-    """Lloyd k-means over candidate keys, centroids snapped to candidates.
+def select_kmeans(candidate_keys: np.ndarray, p: int, rng: np.random.Generator) -> list[int]:
+    """Lloyd k-means over channel-major candidate keys (c_k, n), centroids
+    snapped to candidates.
 
     10 iterations from a random subset init. Each centroid snaps to its
     nearest not-yet-taken candidate so the result stays a unique index set of
@@ -113,7 +102,6 @@ def select_kmeans(
 
 def potentiate(
     candidate_keys: np.ndarray,
-    candidate_shrinkage: np.ndarray,
     candidate_values: np.ndarray,
     candidate_operand: np.ndarray,
     prototype_indices: list[int],
@@ -121,13 +109,13 @@ def potentiate(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Build prototype columns from the selected candidates.
 
-    The candidates come channel-major, keys (c_k, n), shrinkage (n,) and
-    values (c_v, n), with their (2c_k+1, n) memory operand, as
-    `TrackMemory.candidates` gives them (or `affinity.memory_operand` builds
-    the operand); the prototypes are returned the same way, keys (c_k, p),
-    shrinkage (p,) and values (c_v, p). The candidates were checked when
-    they entered the store, so neither they nor the prototypes built from
-    them are checked again, and no block is built.
+    The candidates come channel-major, keys (c_k, n) and values (c_v, n),
+    with their (2c_k+1, n) memory operand, whose last row is their only
+    shrinkage, as `TrackMemory.candidates` gives them (or
+    `affinity.memory_operand` builds the operand); the prototypes are
+    returned the same way, keys (c_k, p), shrinkage (p,) and values (c_v, p).
+    The candidates were checked when they entered the store, so neither they
+    nor the prototypes built from them are checked again, and no block is built.
 
     Prototype keys are exact copies of the selected candidate columns. Values
     and shrinkage are affinity-weighted averages over all candidates, with
@@ -144,7 +132,7 @@ def potentiate(
     rhs = query_operand(proto_keys, np.ones_like(proto_keys))
     read = affinity(candidate_operand, rhs, top_k)
     proto_values = readout(candidate_values.T, read)
-    proto_shrinkage = readout(candidate_shrinkage[:, None], read)[0]
+    proto_shrinkage = readout(candidate_operand[-1][:, None], read)[0]
     # convex combination of values >= 1 can round a hair below the bound
     np.maximum(proto_shrinkage, 1.0, out=proto_shrinkage)
     return proto_keys, proto_shrinkage, proto_values

@@ -236,11 +236,11 @@ class Pipeline:
     def _select(self, keys: np.ndarray, usage: np.ndarray, frame_idx: int) -> list[int]:
         cfg = self.config
         if cfg.prototype_strategy == "usage":
-            return select_prototypes(keys, usage, cfg.p)
+            return select_prototypes(usage, cfg.p)
         rng = np.random.default_rng((self.seed, frame_idx))
         if cfg.prototype_strategy == "random":
-            return select_random(keys, usage, cfg.p, rng)
-        return select_kmeans(keys, usage, cfg.p, rng)
+            return select_random(keys.shape[1], cfg.p, rng)
+        return select_kmeans(keys, cfg.p, rng)
 
     # -- per-frame loop ----------------------------------------------------
 
@@ -323,10 +323,10 @@ class Pipeline:
             if insert:
                 memory.append_frame(query, shrinkage, values, frame_idx)
                 if not cfg.unbounded and memory.frame_count == cfg.t_max:
-                    cand_keys, *cand_rest, cand_usage = memory.candidates(frame_idx)
-                    indices = self._select(cand_keys, cand_usage, frame_idx)
+                    keys, _, cand_values, cand_operand, usage = memory.candidates(frame_idx)
+                    indices = self._select(keys, usage, frame_idx)
                     report = memory.commit(
-                        *potentiate(cand_keys, *cand_rest, indices, cfg.top_k)
+                        *potentiate(keys, cand_values, cand_operand, indices, cfg.top_k)
                     )
             evicted = report.evicted_count if report else 0
             events.append(FrameEvents(insert, report is not None, evicted, report))

@@ -29,7 +29,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .core_types import ConfigError, FeatureDims, StreamFormatError
+from .core_types import ConfigError, FeatureDims, ShapeError, StreamFormatError
 from .pipeline import ObjectFeatures
 
 MAGIC = b"XMFS"
@@ -130,25 +130,42 @@ def iter_frames(path: str | Path) -> Iterator[list[ObjectFeatures]]:
 def write_stream(
     path: str | Path, header: StreamHeader, frames: Iterable[list[ObjectFeatures]]
 ) -> None:
-    """Write a stream file; a header it cannot hold raises ConfigError before the open."""
+    """Write a stream file: a stream `read_header` accepts, or no file.
+
+    A header it cannot hold raises ConfigError before the open, and a path
+    that cannot be opened is left as it is. Once the file is open, a block
+    whose shape differs from `header.shapes()` raises ShapeError, an object
+    or frame count that differs from the header's raises ValueError, and the
+    file is removed before anything that raises leaves this function.
+    """
     name = _bad_field(header)
     if name:
         raise ConfigError(f"header field {name} must lie in [1, 2^32 - 1]")
-    fields = header.shapes()
+    shapes = header.shapes()
     written = 0
-    with open(path, "wb") as f:
-        f.write(header.pack())
-        for objects in frames:
-            if len(objects) != header.object_count:
-                raise ValueError(
-                    f"frame has {len(objects)} objects, header says {header.object_count}"
-                )
-            for feats in objects:
-                for name in fields:
-                    f.write(np.asarray(getattr(feats, name), dtype="<f4").tobytes())
-            written += 1
-    if written != header.frame_count:
-        raise ValueError(f"wrote {written} frames, header says {header.frame_count}")
+    f = open(path, "wb")
+    try:
+        with f:
+            f.write(header.pack())
+            for objects in frames:
+                if len(objects) != header.object_count:
+                    raise ValueError(
+                        f"frame has {len(objects)} objects, header says {header.object_count}"
+                    )
+                for feats in objects:
+                    for name, shape in shapes.items():
+                        block = np.asarray(getattr(feats, name), dtype="<f4")
+                        if block.shape != shape:
+                            raise ShapeError(
+                                f"frame {written}: {name} has shape {block.shape}, want {shape}"
+                            )
+                        f.write(block.tobytes())
+                written += 1
+            if written != header.frame_count:
+                raise ValueError(f"wrote {written} frames, header says {header.frame_count}")
+    except BaseException:
+        Path(path).unlink(missing_ok=True)
+        raise
 
 
 def synthetic_frames(

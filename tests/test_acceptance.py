@@ -311,7 +311,7 @@ def test_criterion_09_potentiation_hull_and_singleton():
         p = int(rng.integers(1, n + 1))
         idx = sorted(rng.choice(n, size=p, replace=False).tolist())
         operand = memory_operand(keys, shrink)
-        _, _, proto_values = potentiate(keys, shrink, values, operand, idx, top_k=16)
+        _, _, proto_values = potentiate(keys, values, operand, idx, top_k=16)
         lo = values.min(axis=1, keepdims=True) - 1e-5
         hi = values.max(axis=1, keepdims=True) + 1e-5
         if not ((proto_values >= lo).all() and (proto_values <= hi).all()):
@@ -321,7 +321,7 @@ def test_criterion_09_potentiation_hull_and_singleton():
     shrink = rng.uniform(1, 8, 1).astype(np.float32)
     values = rng.uniform(-3, 3, (4, 1)).astype(np.float32)
     operand = memory_operand(keys, shrink)
-    pk, ps, pv = potentiate(keys, shrink, values, operand, [0], top_k=16)
+    pk, ps, pv = potentiate(keys, values, operand, [0], top_k=16)
     singleton_exact = (
         pk.tobytes() == keys.tobytes()
         and pv.tobytes() == values.tobytes()

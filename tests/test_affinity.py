@@ -292,7 +292,7 @@ def test_reads_on_one_thread_reuse_its_read_buffer():
     m = n // 2
     protos = list(range(0, m, m // p))
     assert peak(
-        lambda: potentiate(keys[:, :m], shrinkage[:m], values[:m].T, operand[:, :m], protos, 30)
+        lambda: potentiate(keys[:, :m], values[:m].T, operand[:, :m], protos, 30)
     ) < p * m * 4
 
 

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from xmem import FeatureDims, PipelineConfig
+from xmem import FeatureDims, PipelineConfig, stream
 from xmem.cli import main
 from xmem.harness import FrameRecord, run_stream, write_metrics_csv
 from xmem.oracle import BookkeepingRow, oracle_bookkeeping
@@ -151,6 +151,24 @@ def test_unservable_allocation_exits_one_with_one_error_line(tmp_path, capsys):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "Traceback" not in err
     assert not out.exists()
+
+
+# a generation that failed after frame 0 left a truncated stream behind
+def test_failed_generation_exits_one_and_leaves_no_stream(tmp_path, capsys, monkeypatch):
+    real = stream.synthetic_frames
+
+    def failing(seed, header, drift):
+        frames = real(seed, header, drift)
+        yield next(frames)
+        raise MemoryError("frame 1 cannot be allocated")
+
+    monkeypatch.setattr(stream, "synthetic_frames", failing)
+    out, stream_out = tmp_path / "m.csv", tmp_path / "s.xmfs"
+    argv = SMALL + ["--frames", "5", "--stream-out", str(stream_out), "--metrics-out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert not stream_out.exists() and not out.exists()
 
 
 # a negative seed reached numpy's seeding as a traceback; a NaN drift

@@ -108,3 +108,29 @@ def test_only_the_cli_writes_to_the_console_or_exits():
         for name in _console_names(ast.parse(path.read_text(), str(path)))
     )
     assert offenders == [], f"engine modules other than cli.py use the console: {offenders}"
+
+
+def _unused_parameters(tree: ast.Module):
+    """`function: parameter` for each parameter a function or lambda never
+    names in its body, `self`, `cls` and names starting with `_` aside."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+            params += [a.arg for a in (args.vararg, args.kwarg) if a]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            named = {n.id for stmt in body for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+            for param in params:
+                if param not in named | {"self", "cls"} and not param.startswith("_"):
+                    yield f"{getattr(node, 'name', 'lambda')}: {param}"
+
+
+def test_engine_functions_use_every_parameter():
+    # a function takes only what it reads, so a caller never builds an input
+    # that nothing looks at
+    offenders = sorted(
+        f"{path.name}: {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name in _unused_parameters(ast.parse(path.read_text(), str(path)))
+    )
+    assert offenders == [], f"engine functions with unused parameters: {offenders}"

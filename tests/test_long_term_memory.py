@@ -10,6 +10,7 @@ from xmem import (
     ConfigError,
     FeatureDims,
     KeyBlock,
+    ShapeError,
     ShrinkageVector,
     TrackMemory,
     ValueBlock,
@@ -41,27 +42,24 @@ def _frame(rng):
 def _potentiate(keys, shrink, values, indices, top_k):
     """potentiate over candidates, with their memory operand."""
     operand = memory_operand(keys, shrink)
-    return potentiate(keys, shrink, values, operand, indices, top_k)
+    return potentiate(keys, values, operand, indices, top_k)
 
 
 # -- selection ---------------------------------------------------------------
 
 def test_select_top2_by_usage():
-    keys = np.zeros((2, 3), dtype=np.float32)
-    assert select_prototypes(keys, np.array([0.5, 0.1, 0.9]), p=2) == [0, 2]
+    assert select_prototypes(np.array([0.5, 0.1, 0.9]), p=2) == [0, 2]
 
 
 def test_select_ties_go_to_lower_index():
-    keys = np.zeros((2, 5), dtype=np.float32)
-    assert select_prototypes(keys, np.ones(5), p=3) == [0, 1, 2]
+    assert select_prototypes(np.ones(5), p=3) == [0, 1, 2]
 
 
 def test_select_matches_full_sort_oracle():
     rng = np.random.default_rng(31)
     hw = 12
     usage = rng.uniform(0, 1, 5 * hw)
-    keys = np.zeros((2, 5 * hw), dtype=np.float32)
-    assert select_prototypes(keys, usage, p=13) == oracle_top_p(usage, 13)
+    assert select_prototypes(usage, p=13) == oracle_top_p(usage, 13)
 
 
 # many repeats, both zeros, and the extremes of the count
@@ -85,15 +83,25 @@ def test_lowest_is_the_head_of_a_stable_sort(values, which):
 
 
 def test_select_empty_candidates():
-    keys = np.zeros((2, 0), dtype=np.float32)
-    assert select_prototypes(keys, np.zeros(0), p=4) == []
+    assert select_prototypes(np.zeros(0), p=4) == []
+
+
+def test_every_strategy_selects_nothing_from_no_candidates():
+    rng = np.random.default_rng(39)
+    assert select_random(0, 4, rng) == []
+    assert select_kmeans(np.zeros((2, 0), dtype=np.float32), 4, rng) == []
+
+
+def test_select_rejects_usage_that_is_not_one_entry_per_candidate():
+    with pytest.raises(ShapeError):
+        select_prototypes(np.ones((2, 3)), p=2)
 
 
 def test_select_random_is_seeded_and_unique():
     rng = np.random.default_rng(32)
     keys, _, _ = _candidates(rng, 20)
-    a = select_random(keys, np.zeros(20), 8, np.random.default_rng(5))
-    b = select_random(keys, np.zeros(20), 8, np.random.default_rng(5))
+    a = select_random(keys.shape[1], 8, np.random.default_rng(5))
+    b = select_random(keys.shape[1], 8, np.random.default_rng(5))
     assert a == b
     assert len(set(a)) == 8
     assert all(0 <= i < 20 for i in a)
@@ -102,11 +110,11 @@ def test_select_random_is_seeded_and_unique():
 def test_select_kmeans_unique_and_snapped():
     rng = np.random.default_rng(33)
     keys, _, _ = _candidates(rng, 30)
-    picked = select_kmeans(keys, np.zeros(30), 6, np.random.default_rng(7))
+    picked = select_kmeans(keys, 6, np.random.default_rng(7))
     assert len(picked) == 6
     assert len(set(picked)) == 6
     assert all(0 <= i < 30 for i in picked)
-    repeat = select_kmeans(keys, np.zeros(30), 6, np.random.default_rng(7))
+    repeat = select_kmeans(keys, 6, np.random.default_rng(7))
     assert picked == repeat
 
 
@@ -143,7 +151,7 @@ def test_select_kmeans_snaps_like_the_sorting_model(seed):
     base = rng.uniform(-1, 1, (3, distinct)).astype(np.float32)
     keys = base[:, rng.integers(0, distinct, 40)]
     for p in (1, 5, distinct, 40, 45):
-        got = select_kmeans(keys, np.zeros(40), p, np.random.default_rng(seed))
+        got = select_kmeans(keys, p, np.random.default_rng(seed))
         assert got == _select_kmeans_sorting(keys, p, np.random.default_rng(seed))
 
 
@@ -153,7 +161,7 @@ def test_select_kmeans_memory_stays_small():
     keys = np.random.default_rng(39).standard_normal((32, 2000)).astype(np.float32)
     tracemalloc.start()
     try:
-        picked = select_kmeans(keys, np.zeros(2000), 64, np.random.default_rng(1))
+        picked = select_kmeans(keys, 64, np.random.default_rng(1))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

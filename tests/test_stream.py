@@ -14,11 +14,13 @@ from xmem import (
     KeyBlock,
     PipelineConfig,
     SensoryState,
+    ShapeError,
     ShrinkageVector,
     StreamFormatError,
     TrackMemory,
     ValueBlock,
 )
+from xmem import stream as stream_module
 from xmem.harness import run_stream
 from xmem.pipeline import ObjectTrack
 from xmem.stream import (
@@ -148,6 +150,45 @@ def test_unwritable_header_raises_before_the_file_opens(tmp_path, field, value):
     with pytest.raises(ConfigError, match=field):
         generate_synthetic(path, seed=2, header=header, drift=0.1)
     assert not path.exists()
+
+
+def _failing_after_one_frame(header):
+    frames = synthetic_frames(2, header, drift=0.1)
+    yield next(frames)
+    raise MemoryError("frame 1 cannot be allocated")
+
+
+_FIVE = dataclasses.replace(HEADER, frame_count=5)
+
+
+# each wrote a file its own reader refused: a truncated stream (a failing
+# generator, too few frames), or blocks larger than the header declares
+@pytest.mark.parametrize("header,frames,error", [
+    (_FIVE, lambda: _failing_after_one_frame(_FIVE), MemoryError),
+    (_FIVE, lambda: synthetic_frames(2, dataclasses.replace(_FIVE, frame_count=4), 0.1),
+     ValueError),
+    (_FIVE, lambda: synthetic_frames(2, dataclasses.replace(_FIVE, frame_count=6), 0.1),
+     ValueError),
+    (dataclasses.replace(_FIVE, c_k=2), lambda: synthetic_frames(2, _FIVE, 0.1), ShapeError),
+], ids=["generator-raises", "too-few-frames", "too-many-frames", "wrong-block-shape"])
+def test_a_stream_that_cannot_be_written_whole_leaves_no_file(tmp_path, header, frames, error):
+    path = tmp_path / "s.xmfs"
+    with pytest.raises(error):
+        write_stream(path, header, frames())
+    assert not path.exists()
+
+
+def test_a_path_that_cannot_be_opened_is_left_as_it_is(tmp_path, monkeypatch):
+    path = tmp_path / "kept.xmfs"
+    path.write_bytes(b"kept")
+
+    def refuse(*args, **kwargs):
+        raise PermissionError(f"cannot open {path}")
+
+    monkeypatch.setattr(stream_module, "open", refuse, raising=False)
+    with pytest.raises(PermissionError):
+        write_stream(path, HEADER, synthetic_frames(2, HEADER, 0.1))
+    assert path.read_bytes() == b"kept"
 
 
 def test_snapshot_roundtrip(tmp_path):
