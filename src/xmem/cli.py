@@ -6,7 +6,7 @@ flags, the header and the pipeline configuration have passed their checks.
 Exit codes: 0 success; 1 runtime failure, reported on one `error:` line (a
 malformed stream with its byte offset, a missing or unwritable file with its
 path, an allocation the machine cannot serve with its size); 2 usage or
-configuration error.
+configuration error. An output that fails part-way is removed, and only it.
 """
 
 from __future__ import annotations

@@ -7,8 +7,10 @@ object tracks, `wm_frames` is their maximum (the schedule is shared) and
 what `oracle.oracle_bookkeeping` simulates, so a replay's event log diffs
 directly against the schedule oracle.
 
-The metrics CSV has one row per record (frame 0 included) with LF line
-endings. Timing wraps the read path only: the query operand, the blocked
+The metrics CSV has one row per record (frame 0 included), one column per
+`CSV_FIELDS` attribute, and LF line endings. It is written whole or not at
+all (`stream.whole_or_absent`), so a failed write cannot pass for a shorter
+run. Timing wraps the read path only: the query operand, the blocked
 score/top-k/softmax (`affinity.affinity`) and the gather readout, not the
 usage update. --no-timing zeroes the column so replays diff byte-identically.
 """
@@ -21,6 +23,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .pipeline import FrameEvents, ObjectFeatures, Pipeline, PipelineConfig
+from .stream import whole_or_absent
 
 CSV_FIELDS = [
     "frame_idx", "wm_frames", "wm_elements", "lt_elements",
@@ -45,17 +48,12 @@ class FrameRecord:
     def total_elements(self) -> int:
         return self.wm_elements + self.lt_elements
 
+    @property
+    def consolidation_flag(self) -> int:
+        return int(self.consolidated)
+
     def as_csv(self) -> dict:
-        return {
-            "frame_idx": self.frame_idx,
-            "wm_frames": self.wm_frames,
-            "wm_elements": self.wm_elements,
-            "lt_elements": self.lt_elements,
-            "total_elements": self.total_elements,
-            "read_duration_ns": self.read_duration_ns,
-            "consolidation_flag": int(self.consolidated),
-            "evicted_count": self.evicted_count,
-        }
+        return {name: getattr(self, name) for name in CSV_FIELDS}
 
 
 def _record(pipeline: Pipeline, frame_idx: int, events: list[FrameEvents]) -> FrameRecord:
@@ -96,7 +94,7 @@ def run_stream(
 
 
 def write_metrics_csv(path: str | Path, records: Iterable[FrameRecord], no_timing: bool = False) -> None:
-    with open(path, "w", newline="") as f:
+    with whole_or_absent(path, "w", newline="") as f:
         writer = csv.DictWriter(f, fieldnames=CSV_FIELDS, lineterminator="\n")
         writer.writeheader()
         for record in records:

@@ -11,8 +11,8 @@ immortal reference frame first. The capacity is the hard bound
 t_max*h*w + l_max, so the buffer is allocated once; only the unbounded
 comparison mode, which never consolidates, grows it by doubling. The
 operand alone starts small and doubles as elements arrive, up to the
-capacity. Reads take views of elements [0, n) and consolidation rewrites
-them in place.
+capacity. `_reserve` is the only code that grows a buffer. Reads take views
+of elements [0, n) and consolidation rewrites them in place.
 
 This module alone knows the layout. Blocks go in channel-major (one column
 per element, as everywhere else) and contents come out as read-only
@@ -85,7 +85,14 @@ class TrackMemory:
         self.t_max = t_max
         self.l_max = l_max
         self.unbounded = unbounded
-        self._allocate(t_max * self.hw + l_max)
+        cap = t_max * self.hw + l_max
+        # uninitialized: _put writes every row before it is read. Zero-filling
+        # (calloc) would touch all of a buffer that malloc serves from reused
+        # heap memory, so peak RSS would depend on the allocator's history
+        self.keys = np.empty((cap, dims.c_k), dtype=np.float32)
+        self.values = np.empty((cap, dims.c_v), dtype=np.float32)
+        self.usage = np.empty(cap, dtype=np.float64)
+        self.operand = np.empty((2 * dims.c_k + 1, 0), dtype=np.float32)
         self.inserted_at: list[int] = []
         self.lt = 0
         self.n = 0
@@ -159,8 +166,6 @@ class TrackMemory:
             raise ContractError(
                 f"insertion frame {frame_idx} not after {self.inserted_at[-1]}"
             )
-        if self.n + hw > self.capacity:
-            self._grow()
         self._put(slice(self.n, self.n + hw), keys.data.T, shrinkage.data, values.data.T, 0.0)
         self.n += hw
         self.inserted_at.append(frame_idx)
@@ -272,7 +277,15 @@ class TrackMemory:
         self.operand[:, to] = self.operand[:, rows]
 
     def _reserve(self, stop: int) -> None:
-        """Grow the operand to at least `stop` columns."""
+        """Grow the buffers to hold at least `stop` elements."""
+        if stop > self.capacity:
+            # only an unbounded store fills up; it doubles its capacity
+            # (an append adds hw <= capacity elements) and copies the rows in use
+            for name in ("keys", "values", "usage"):
+                old = getattr(self, name)
+                grown = np.empty((2 * len(old), *old.shape[1:]), old.dtype)
+                grown[: self.n] = old[: self.n]
+                setattr(self, name, grown)
         if stop > self.operand.shape[1]:
             # the operand grows by doubling, up to the capacity: a frame's
             # columns reach into all 2c_k+1 rows, so writing the first frame
@@ -280,22 +293,6 @@ class TrackMemory:
             grown = np.empty((self.operand.shape[0], min(2 * stop, self.capacity)), np.float32)
             grown[:, : self.operand.shape[1]] = self.operand
             self.operand = grown
-
-    def _allocate(self, cap: int) -> None:
-        # uninitialized: _put writes every row before it is read. Zero-filling
-        # (calloc) would touch all of a buffer that malloc serves from reused
-        # heap memory, so peak RSS would depend on the allocator's history
-        c_k = self.dims.c_k
-        self.keys = np.empty((cap, c_k), dtype=np.float32)
-        self.values = np.empty((cap, self.dims.c_v), dtype=np.float32)
-        self.usage = np.empty(cap, dtype=np.float64)
-        self.operand = np.empty((2 * c_k + 1, 0), dtype=np.float32)
-
-    def _grow(self) -> None:
-        n = self.n
-        old = (self.keys[:n], self.shrinkage[:n], self.values[:n], self.usage[:n])
-        self._allocate(2 * self.capacity)
-        self._put(slice(0, n), *old)
 
 
 def _read_only(*views: np.ndarray) -> tuple[np.ndarray, ...]:

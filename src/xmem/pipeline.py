@@ -212,7 +212,7 @@ class Pipeline:
         )
 
         self.tracks: list[ObjectTrack] = []
-        ingested = self._ingest(first_frame, insert=True)
+        ingested = self._ingest(first_frame, use_values=True)
         for obj_id, (query, shrinkage, _, values, _) in enumerate(ingested):
             memory = TrackMemory(
                 dims, config.t_min, config.t_max, config.l_max, config.unbounded
@@ -244,18 +244,17 @@ class Pipeline:
 
     # -- per-frame loop ----------------------------------------------------
 
-    def _ingest(self, features: list[ObjectFeatures], insert: bool) -> list[tuple]:
+    def _ingest(self, features: list[ObjectFeatures], use_values: bool) -> list[tuple]:
         """Check and map every object's inputs before the frame changes any state.
 
         All five fields must have their documented shapes; the fields the
-        frame uses must be finite (values only on frames that insert or
-        deep-update from them). Returns per object, in field order, the query,
-        shrinkage, selection, values (None when unused) and sensory input grid.
+        frame uses must be finite (values only when `use_values`). Returns per
+        object, in field order, the query, shrinkage, selection, values (None
+        when unused) and sensory input grid.
         """
         cfg = self.config
         dims = cfg.dims
         shapes = ObjectFeatures.shapes(dims.c_k, dims.c_v, cfg.sensory_channels, dims.hw())
-        use_values = insert or cfg.deep_update_mode == "every_frame"
         # by field name; a mapper raises ValidationError on bad entries
         mappers = {
             "raw_query": KeyBlock,
@@ -291,7 +290,9 @@ class Pipeline:
         cfg = self.config
         dims = cfg.dims
         insert = self.is_insertion_frame(frame_idx)
-        ingested = self._ingest(features, insert)
+        mode = cfg.deep_update_mode
+        deep = mode == "every_frame" or (insert and mode == "every_rth")
+        ingested = self._ingest(features, use_values=insert or deep)
 
         readouts: list[np.ndarray] = []
         events: list[FrameEvents] = []
@@ -312,9 +313,7 @@ class Pipeline:
             memory.add_usage(usage_mass(read, memory.n))
 
             track.sensory = gru_step(track.sensory, sensory_input, self.gru_weights)
-            if cfg.deep_update_mode == "every_frame" or (
-                insert and cfg.deep_update_mode == "every_rth"
-            ):
+            if deep:
                 track.sensory = deep_update(
                     track.sensory, _grid(values, dims), self.deep_weights
                 )

@@ -1,4 +1,4 @@
-"""Feature stream files and synthetic stream generation.
+"""Feature stream files, long-term snapshots and synthetic stream generation.
 
 Stream layout (all integers u32 little-endian, all payloads float32
 little-endian):
@@ -15,33 +15,72 @@ Declared sizes must match the byte length exactly; any mismatch, including a
 file that shrinks while it is read, is reported with the byte offset where
 parsing failed. Files are read one block at a time, never whole. Long-term
 snapshots ("XMLT" magic, version 2) reuse the same block conventions, except
-that usage is float64 so the counters round-trip exactly.
+that usage is float64 so the counters round-trip exactly. Both headers follow
+one rule, `_Format`, and every output is written whole or not at all,
+through `whole_or_absent`.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
 from .core_types import ConfigError, FeatureDims, ShapeError, StreamFormatError
 from .pipeline import ObjectFeatures
 
-MAGIC = b"XMFS"
-SNAPSHOT_MAGIC = b"XMLT"
-VERSION = 1
-SNAPSHOT_VERSION = 2
-_HEADER = struct.Struct("<4s8I")
 
-_FIELD_OFFSETS = {
-    "c_k": 8, "c_v": 12, "c_in": 16,
-    "h": 20, "w": 24, "frame_count": 28, "object_count": 32,
-}
+class _Format(NamedTuple):
+    """A file header: magic at offset 0, version at 4 and u32 field i at
+    8 + 4i, each field in [1, 2^32 - 1]: a writer checks that before it opens
+    the file, a reader at the field's own offset."""
+
+    name: str
+    magic: bytes
+    version: int
+    fields: tuple[str, ...]
+
+    def pack(self, *values: int) -> bytes:
+        """The header bytes; a field the format cannot hold raises ConfigError."""
+        for name, value in zip(self.fields, values, strict=True):
+            if not 1 <= value < 2**32:
+                raise ConfigError(f"header field {name} must lie in [1, 2^32 - 1]")
+        return self.magic + struct.pack(f"<{len(self.fields) + 1}I", self.version, *values)
+
+    def parse(self, f) -> tuple[int, ...]:
+        """The fields of the header at the start of f, which is left just past it."""
+        size = 8 + 4 * len(self.fields)
+        raw = f.read(size)
+        if len(raw) < size:
+            raise StreamFormatError(f"truncated {self.name} header: need {size} bytes", len(raw))
+        if raw[:4] != self.magic:
+            raise StreamFormatError(f"bad magic {raw[:4]!r}, want {self.magic!r}", 0)
+        version, *values = struct.unpack_from(f"<{len(self.fields) + 1}I", raw, 4)
+        if version != self.version:
+            raise StreamFormatError(f"unsupported {self.name} version {version}", 4)
+        for i, (name, value) in enumerate(zip(self.fields, values)):
+            if value < 1:
+                raise StreamFormatError(f"header field {name} must be >= 1", 8 + 4 * i)
+        return tuple(values)
+
+
+@contextlib.contextmanager
+def whole_or_absent(path: str | Path, mode: str = "wb", newline: str | None = None):
+    """Open `path` for writing; anything that raises in the `with` block, or
+    in closing the file, removes it. A path `open` refuses is left alone."""
+    f = open(path, mode, newline=newline)
+    try:
+        with f:
+            yield f
+    except BaseException:
+        Path(path).unlink(missing_ok=True)
+        raise
 
 
 @dataclass(frozen=True)
@@ -70,31 +109,23 @@ class StreamHeader:
         return FeatureDims(h=self.h, w=self.w, c_k=self.c_k, c_v=self.c_v, c_h=c_h)
 
     def pack(self) -> bytes:
-        return _HEADER.pack(
-            MAGIC, VERSION, self.c_k, self.c_v, self.c_in,
-            self.h, self.w, self.frame_count, self.object_count,
-        )
+        return _STREAM.pack(*astuple(self))
+
+
+# the header's fields in file order are StreamHeader's, in declaration order
+_STREAM = _Format("stream", b"XMFS", 1, tuple(field.name for field in fields(StreamHeader)))
 
 
 def read_header(path: str | Path) -> StreamHeader:
-    path = Path(path)
     with open(path, "rb") as f:
-        raw = f.read(_HEADER.size)
-    if len(raw) < _HEADER.size:
-        raise StreamFormatError(
-            f"truncated header: {len(raw)} bytes, need {_HEADER.size}", len(raw)
-        )
-    magic, version, c_k, c_v, c_in, h, w, frames, objects = _HEADER.unpack(raw)
-    if magic != MAGIC:
-        raise StreamFormatError(f"bad magic {magic!r}, want {MAGIC!r}", 0)
-    if version != VERSION:
-        raise StreamFormatError(f"unsupported version {version}", 4)
-    header = StreamHeader(c_k, c_v, c_in, h, w, frames, objects)
-    name = _bad_field(header)
-    if name:
-        raise StreamFormatError(f"header field {name} must be >= 1", _FIELD_OFFSETS[name])
-    expected = _HEADER.size + header.frame_count * header.object_count * header.bytes_per_object
-    actual = path.stat().st_size
+        return _parse_stream_header(f)
+
+
+def _parse_stream_header(f) -> StreamHeader:
+    """The header at the start of f, checked against the size of f's file."""
+    header = StreamHeader(*_STREAM.parse(f))
+    expected = f.tell() + header.frame_count * header.object_count * header.bytes_per_object
+    actual = os.fstat(f.fileno()).st_size
     if actual != expected:
         raise StreamFormatError(
             f"file is {actual} bytes but header declares {expected}",
@@ -103,21 +134,13 @@ def read_header(path: str | Path) -> StreamHeader:
     return header
 
 
-def _bad_field(header: StreamHeader) -> str | None:
-    """The first size field outside the u32 fields' valid range [1, 2^32 - 1], if any."""
-    bad = [name for name in _FIELD_OFFSETS if not 1 <= getattr(header, name) < 2**32]
-    return bad[0] if bad else None
-
-
 def iter_frames(path: str | Path) -> Iterator[list[ObjectFeatures]]:
     """Yield per-frame object feature lists, each block read lazily into its own array."""
-    header = read_header(path)
-    shapes = header.shapes()
-    frame_bytes = header.object_count * header.bytes_per_object
     with open(path, "rb") as f:
-        f.seek(_HEADER.size)
+        header = _parse_stream_header(f)
+        shapes = header.shapes()
         for frame in range(header.frame_count):
-            what, offset = f"truncated frame {frame}", _HEADER.size + frame * frame_bytes
+            what, offset = f"truncated frame {frame}", f.tell()
             yield [
                 ObjectFeatures(
                     **{name: _read_array(f, shape, "<f4", what, offset)
@@ -132,40 +155,31 @@ def write_stream(
 ) -> None:
     """Write a stream file: a stream `read_header` accepts, or no file.
 
-    A header it cannot hold raises ConfigError before the open, and a path
-    that cannot be opened is left as it is. Once the file is open, a block
-    whose shape differs from `header.shapes()` raises ShapeError, an object
-    or frame count that differs from the header's raises ValueError, and the
-    file is removed before anything that raises leaves this function.
+    A header it cannot hold raises ConfigError before the open. A block whose
+    shape differs from `header.shapes()` raises ShapeError and an object or
+    frame count that differs from the header's ValueError, leaving no file.
     """
-    name = _bad_field(header)
-    if name:
-        raise ConfigError(f"header field {name} must lie in [1, 2^32 - 1]")
+    head = header.pack()
     shapes = header.shapes()
     written = 0
-    f = open(path, "wb")
-    try:
-        with f:
-            f.write(header.pack())
-            for objects in frames:
-                if len(objects) != header.object_count:
-                    raise ValueError(
-                        f"frame has {len(objects)} objects, header says {header.object_count}"
-                    )
-                for feats in objects:
-                    for name, shape in shapes.items():
-                        block = np.asarray(getattr(feats, name), dtype="<f4")
-                        if block.shape != shape:
-                            raise ShapeError(
-                                f"frame {written}: {name} has shape {block.shape}, want {shape}"
-                            )
-                        f.write(block.tobytes())
-                written += 1
-            if written != header.frame_count:
-                raise ValueError(f"wrote {written} frames, header says {header.frame_count}")
-    except BaseException:
-        Path(path).unlink(missing_ok=True)
-        raise
+    with whole_or_absent(path) as f:
+        f.write(head)
+        for objects in frames:
+            if len(objects) != header.object_count:
+                raise ValueError(
+                    f"frame has {len(objects)} objects, header says {header.object_count}"
+                )
+            for feats in objects:
+                for name, shape in shapes.items():
+                    block = np.asarray(getattr(feats, name), dtype="<f4")
+                    if block.shape != shape:
+                        raise ShapeError(
+                            f"frame {written}: {name} has shape {block.shape}, want {shape}"
+                        )
+                    f.write(block.tobytes())
+            written += 1
+        if written != header.frame_count:
+            raise ValueError(f"wrote {written} frames, header says {header.frame_count}")
 
 
 def synthetic_frames(
@@ -208,7 +222,7 @@ def generate_synthetic(
 
 # -- long-term snapshot ------------------------------------------------------
 
-_SNAP_HEADER = struct.Struct("<4s4I")
+_SNAPSHOT = _Format("snapshot", b"XMLT", 2, ("object_count", "c_k", "c_v"))
 
 
 @dataclass(frozen=True)
@@ -220,10 +234,12 @@ class SnapshotObject:
 
 
 def write_lt_snapshot(path: str | Path, tracks) -> None:
-    """Serialize each track's long-term store for offline inspection."""
+    """Serialize each track's long-term store for offline inspection: a
+    snapshot `read_lt_snapshot` accepts, or no file."""
     dims = tracks[0].memory.dims
-    with open(path, "wb") as f:
-        f.write(_SNAP_HEADER.pack(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, len(tracks), dims.c_k, dims.c_v))
+    head = _SNAPSHOT.pack(len(tracks), dims.c_k, dims.c_v)
+    with whole_or_absent(path) as f:
+        f.write(head)
         for track in tracks:
             memory, lt = track.memory, track.long_term.columns
             f.write(struct.pack("<I", memory.lt))
@@ -235,19 +251,10 @@ def write_lt_snapshot(path: str | Path, tracks) -> None:
 def read_lt_snapshot(path: str | Path) -> list[SnapshotObject]:
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
-        raw = f.read(_SNAP_HEADER.size)
-        if len(raw) < _SNAP_HEADER.size:
-            raise StreamFormatError("truncated snapshot header", len(raw))
-        magic, version, objects, c_k, c_v = _SNAP_HEADER.unpack(raw)
-        if magic != SNAPSHOT_MAGIC:
-            raise StreamFormatError(f"bad magic {magic!r}, want {SNAPSHOT_MAGIC!r}", 0)
-        if version != SNAPSHOT_VERSION:
-            raise StreamFormatError(f"unsupported snapshot version {version}", 4)
+        objects, c_k, c_v = _SNAPSHOT.parse(f)
         out = []
-        offset = _SNAP_HEADER.size
         for _ in range(objects):
-            count = int(_read_array(f, (), "<u4", "truncated snapshot object header", offset))
-            offset += 4
+            count = int(_read_array(f, (), "<u4", "truncated snapshot object header", f.tell()))
             blocks = []
             for shape, dtype in (((c_k, count), "<f4"), ((count,), "<f4"),
                                  ((c_v, count), "<f4"), ((count,), "<f8")):
@@ -255,13 +262,12 @@ def read_lt_snapshot(path: str | Path) -> list[SnapshotObject]:
                 # can wrap to a small or negative size
                 nbytes = np.dtype(dtype).itemsize * math.prod(shape)
                 # checked before reading, so a corrupt count allocates nothing
-                if offset + nbytes > size:
+                if f.tell() + nbytes > size:
                     raise StreamFormatError("truncated snapshot block", size)
-                blocks.append(_read_array(f, shape, dtype, "truncated snapshot block", offset))
-                offset += nbytes
+                blocks.append(_read_array(f, shape, dtype, "truncated snapshot block", f.tell()))
             out.append(SnapshotObject(*blocks))
-        if f.read(1):
-            raise StreamFormatError("trailing bytes after snapshot payload", offset)
+        if f.tell() != size:
+            raise StreamFormatError("trailing bytes after snapshot payload", f.tell())
     return out
 
 

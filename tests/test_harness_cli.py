@@ -303,3 +303,16 @@ def test_console_entry_smoke(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert out.exists()
+
+
+# a snapshot write that failed part-way left a file its reader refused
+def test_failed_snapshot_exits_one_and_leaves_no_snapshot(tmp_path, capsys, faulty_open):
+    out, snap = tmp_path / "m.csv", tmp_path / "lt.xmlt"
+    faulty_open(snap, 100)
+    argv = SMALL + ["--frames", "30", "--metrics-out", str(out), "--snapshot-out", str(snap)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert not snap.exists()
+    header, rows = _read_csv(out)
+    assert header[0] == "frame_idx" and len(rows) == 30

@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import struct
 from pathlib import Path
 
@@ -21,7 +22,7 @@ from xmem import (
     ValueBlock,
 )
 from xmem import stream as stream_module
-from xmem.harness import run_stream
+from xmem.harness import run_stream, write_metrics_csv
 from xmem.pipeline import ObjectTrack
 from xmem.stream import (
     StreamHeader,
@@ -471,3 +472,75 @@ def test_fuzzed_stream_parses_or_is_rejected(valid_files, mutation):
 def test_fuzzed_snapshot_parses_or_is_rejected(valid_files, mutation):
     blob = _mutate(valid_files["snapshot"], mutation)
     _parses_or_rejects(read_lt_snapshot, valid_files["path"], blob)
+
+
+# -- one header rule, one writer rule --------------------------------------------
+
+_FORMAT_FIELDS = [("stream", i) for i in range(7)] + [("snapshot", i) for i in range(3)]
+_PARSERS = {"stream": lambda path: list(iter_frames(path)), "snapshot": read_lt_snapshot}
+
+
+# the snapshot reader kept its own header checks and accepted a zero
+# object_count, c_k or c_v: c_k = c_v = 0 parsed into (0, m) arrays
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(_FORMAT_FIELDS), st.lists(st.integers(1, 2**32 - 1), max_size=6))
+def test_a_zero_header_field_is_rejected_at_its_own_offset(valid_files, field, later):
+    kind, i = field
+    blob = bytearray(valid_files[kind])
+    struct.pack_into("<I", blob, 8 + 4 * i, 0)
+    # the fields after it may hold any other size: the zero is still what fails
+    fields_after = range(i + 1, 7 if kind == "stream" else 3)
+    for j, value in zip(fields_after, later):
+        struct.pack_into("<I", blob, 8 + 4 * j, value)
+    path = valid_files["path"]
+    path.write_bytes(bytes(blob))
+    parsers = [_PARSERS[kind]] + ([read_header] if kind == "stream" else [])
+    for parse in parsers:
+        with pytest.raises(StreamFormatError) as err:
+            parse(path)
+        assert err.value.offset == 8 + 4 * i, (kind, i)
+
+
+def _output_writers():
+    """The snapshot and CSV writers, each bound to the outputs of one small
+    two-track run: path -> None."""
+    header = StreamHeader(c_k=3, c_v=4, c_in=2, h=2, w=2, frame_count=30, object_count=2)
+    cfg = PipelineConfig(
+        dims=header.dims(c_h=2), r=1, t_min=2, t_max=4, p=3, l_max=9,
+        sensory_input_channels=2,
+    )
+    pipeline, records = run_stream(synthetic_frames(5, header, 0.2), cfg)
+    return {
+        "snapshot": lambda path: write_lt_snapshot(path, pipeline.tracks),
+        "csv": lambda path: write_metrics_csv(path, records),
+    }
+
+
+# the snapshot and CSV writers were the last outputs without the stream's
+# clean-up: a snapshot that failed part-way left a file its reader refused,
+# and a CSV that hit a full disk left a clean file of fewer rows, which read
+# as a shorter run
+@pytest.mark.parametrize("output", ["snapshot", "csv"])
+def test_an_output_that_cannot_be_written_whole_leaves_no_file(tmp_path, faulty_open, output):
+    write = _output_writers()[output]
+    whole = tmp_path / "whole"
+    write(whole)
+    # the disk fills after about a third of the file
+    room = len(whole.read_bytes()) // 3
+    path = tmp_path / "part"
+    faulty_open(path, room)
+    with pytest.raises(OSError) as err:
+        write(path)
+    assert err.value.errno == errno.ENOSPC
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("output", ["snapshot", "csv"])
+def test_an_output_path_that_cannot_be_opened_keeps_its_bytes(tmp_path, faulty_open, output):
+    write = _output_writers()[output]
+    path = tmp_path / "kept"
+    path.write_bytes(b"kept")
+    faulty_open(path, None)
+    with pytest.raises(PermissionError):
+        write(path)
+    assert path.read_bytes() == b"kept"
