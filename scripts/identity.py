@@ -201,7 +201,7 @@ def compare(sides: list[Path]) -> int:
 
         digests = []
         for src, d in zip(sides, dirs):
-            printer = "import identity; print(*identity.replay_digests().items(), sep='\\n')"
+            printer = "import identity\nfor replay in identity.replay_digests().items(): print(*replay)"
             proc = _run(src, ["-c", printer], d)
             if proc.returncode != 0:
                 print(f"digest run failed with {src}:\n{proc.stderr.decode()}")

@@ -1,7 +1,9 @@
 """Command line entry point for replaying or generating feature streams.
 
-Nothing is read past a stream's header, and nothing is written, until the
-flags, the header and the pipeline configuration have passed their checks.
+Engine flags take their defaults and choices from `PipelineConfig` and
+`FeatureDims`, which check them; `_validate` checks the other flags. Nothing
+is read past a stream's header, and nothing is written, until all pass.
+Each broken rule gets its own `error:` line, naming fields by their flags.
 
 Exit codes: 0 success; 1 runtime failure, reported on one `error:` line (a
 malformed stream with its byte offset, a missing or unwritable file with its
@@ -13,21 +15,37 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
+from typing import get_args
 
 from . import stream
-from .core_types import ConfigError, XmemError
+from .core_types import ConfigError, FeatureDims, XmemError
 from .harness import run_stream, write_metrics_csv
-from .pipeline import PipelineConfig
+from .pipeline import PipelineConfig, PrototypeStrategy
 
 DEEP_UPDATE_FLAGS = {"rth": "every_rth", "every": "every_frame", "never": "never"}
+# each PipelineConfig field's integer flag and help; error lines name it by its flag
+FIELD_FLAGS = {
+    "sensory_input_channels": ("--cin", "sensory input channels (None: --ch)"),
+    "r": ("--r", "insertion period in frames"),
+    "t_min": ("--tmin", "frames kept after consolidation"),
+    "t_max": ("--tmax", "frame cap triggering consolidation"),
+    "p": ("--proto-p", "prototypes per consolidation"),
+    "top_k": ("--topk", "retained elements per read column"),
+    "l_max": ("--lt-max", "long-term element cap"),
+    "insert_offset": ("--insert-offset", "phase offset of the insertion schedule"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # h and w have no defaults; every other field keeps its own
+    defaults = PipelineConfig(FeatureDims(h=1, w=1))
     parser = argparse.ArgumentParser(
         prog="xmem-stream",
         description="Replay a feature stream through the three-store memory "
         "engine and record per-frame memory/latency metrics.",
+        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
     )
     source = parser.add_mutually_exclusive_group(required=True)
     source.add_argument("--input", metavar="FILE", help="stream file to replay")
@@ -42,34 +60,25 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--objects", type=int, default=1, help="synthetic object count")
     parser.add_argument("--height", type=int, default=30)
     parser.add_argument("--width", type=int, default=54)
-    parser.add_argument("--ck", type=int, default=64, help="key/query channels")
-    parser.add_argument("--cv", type=int, default=512, help="value channels")
-    parser.add_argument("--ch", type=int, default=64, help="sensory state channels")
-    parser.add_argument(
-        "--cin", type=int, default=None,
-        help="sensory input channels (defaults to --ch)",
-    )
+    parser.add_argument("--ck", type=int, default=defaults.dims.c_k, help="key/query channels")
+    parser.add_argument("--cv", type=int, default=defaults.dims.c_v, help="value channels")
+    parser.add_argument("--ch", type=int, default=defaults.dims.c_h, help="sensory state channels")
     parser.add_argument(
         "--small", action="store_true",
         help="8x8 spatial preset for quick runs (overrides --height/--width)",
     )
-    parser.add_argument("--r", type=int, default=10, help="insertion period in frames")
-    parser.add_argument("--tmin", type=int, default=5, help="frames kept after consolidation")
-    parser.add_argument("--tmax", type=int, default=10, help="frame cap triggering consolidation")
-    parser.add_argument("--proto-p", type=int, default=128, help="prototypes per consolidation")
-    parser.add_argument("--topk", type=int, default=30, help="retained elements per read column")
-    parser.add_argument("--lt-max", type=int, default=10_000, help="long-term element cap")
+    for field, (flag, text) in FIELD_FLAGS.items():
+        parser.add_argument(flag, type=int, default=getattr(defaults, field), help=text)
     parser.add_argument(
-        "--insert-offset", type=int, default=0,
-        help="phase offset of the insertion schedule",
-    )
-    parser.add_argument(
-        "--deep-update", choices=sorted(DEEP_UPDATE_FLAGS), default="rth",
+        "--deep-update", choices=sorted(DEEP_UPDATE_FLAGS),
+        default={mode: flag for flag, mode in DEEP_UPDATE_FLAGS.items()}[
+            defaults.deep_update_mode
+        ],
         help="deep-update schedule for the sensory state",
     )
     parser.add_argument(
-        "--strategy", choices=["usage", "random", "kmeans"], default="usage",
-        help="prototype selection strategy",
+        "--strategy", choices=get_args(PrototypeStrategy),
+        default=defaults.prototype_strategy, help="prototype selection strategy",
     )
     parser.add_argument(
         "--unbounded", action="store_true",
@@ -93,26 +102,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _validate(args) -> list[str]:
     problems = []
-    if args.tmax <= args.tmin:
-        problems.append(f"--tmax ({args.tmax}) must exceed --tmin ({args.tmin})")
-    if args.tmin < 2:
-        problems.append(f"--tmin ({args.tmin}) must be >= 2")
-    if args.r < 1:
-        problems.append(f"--r ({args.r}) must be >= 1")
-    if args.lt_max < args.proto_p:
-        problems.append(
-            f"--lt-max ({args.lt_max}) must be >= --proto-p ({args.proto_p})"
-        )
-    if not 0 <= args.insert_offset < args.r:
-        problems.append(
-            f"--insert-offset ({args.insert_offset}) must lie in [0, --r)"
-        )
     if args.synthetic and args.frames < 1:
         problems.append(f"--frames ({args.frames}) must be >= 1")
     if args.synthetic and args.objects < 1:
         problems.append(f"--objects ({args.objects}) must be >= 1")
-    if args.cin is not None and args.cin < 1:
-        problems.append(f"--cin ({args.cin}) must be >= 1")
     if args.seed < 0:
         problems.append(f"--seed ({args.seed}) must be >= 0")
     if args.synthetic and not (math.isfinite(args.drift) and args.drift >= 0):
@@ -123,17 +116,14 @@ def _validate(args) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-
+    args = build_parser().parse_args(argv)
     problems = _validate(args)
-    if problems:
-        for p in problems:
-            print(f"error: {p}", file=sys.stderr)
-        return 2
-
     height, width = (8, 8) if args.small else (args.height, args.width)
     try:
+        # a stream's header is read, and its configuration checked, only once
+        # the other flags pass; a synthetic run's is checked along with them
+        if problems and args.input:
+            raise ConfigError()
         if args.input:
             header = stream.read_header(args.input)
         else:
@@ -156,6 +146,8 @@ def main(argv=None) -> int:
             unbounded=args.unbounded,
             sensory_input_channels=header.c_in,
         )
+        if problems:
+            raise ConfigError()
         if args.input:
             frames = stream.iter_frames(args.input)
         elif args.stream_out:
@@ -168,7 +160,9 @@ def main(argv=None) -> int:
         if args.snapshot_out is not None:
             stream.write_lt_snapshot(args.snapshot_out, pipeline.tracks)
     except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        for problem in problems + list(exc.args):
+            named = re.sub(r"\w+", lambda word: FIELD_FLAGS.get(word[0], word)[0], problem)
+            print(f"error: {named}", file=sys.stderr)
         return 2
     except (XmemError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

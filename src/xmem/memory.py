@@ -12,7 +12,8 @@ t_max*h*w + l_max, so the buffer is allocated once; only the unbounded
 comparison mode, which never consolidates, grows it by doubling. The
 operand alone starts small and doubles as elements arrive, up to the
 capacity. `_reserve` is the only code that grows a buffer. Reads take views
-of elements [0, n) and consolidation rewrites them in place.
+of elements [0, n) and consolidation, once `due`, rewrites them in place.
+`window_problems`, which `PipelineConfig` shares, states the window rule.
 
 This module alone knows the layout. Blocks go in channel-major (one column
 per element, as everywhere else) and contents come out as read-only
@@ -49,6 +50,17 @@ from .core_types import (
 from .long_term_memory import ConsolidationReport, lowest
 
 
+def window_problems(t_min: int, t_max: int) -> list[str]:
+    """The broken rules of a working-memory window: consolidation keeps the
+    reference and t_min - 1 >= 1 newest frames of t_max > t_min."""
+    problems = []
+    if t_min < 2:
+        problems.append(f"t_min must be >= 2, got {t_min}")
+    if t_max <= t_min:
+        problems.append(f"t_max ({t_max}) must exceed t_min ({t_min})")
+    return problems
+
+
 @dataclass(frozen=True)
 class Segment:
     """One element range of a store: its long-term or its working memory."""
@@ -64,21 +76,20 @@ class Segment:
 class TrackMemory:
     """Working and long-term memory of one object track in one buffer.
 
-    Working memory is bounded by t_max frames and shrinks to t_min on
-    consolidation; long-term memory never exceeds l_max elements, evicting the
-    least-used first. unbounded=True lifts the frame cap (consolidation is
-    then never called) and lets the buffer grow.
+    Working memory is bounded by t_max frames: at t_max consolidation is `due`
+    and shrinks it to t_min. Long-term memory never exceeds l_max elements,
+    evicting the least-used first. unbounded=True lifts the frame cap (it is
+    never due) and lets the buffer grow.
     """
 
     def __init__(
         self, dims: FeatureDims, t_min: int, t_max: int, l_max: int, unbounded: bool = False
     ):
-        if t_min < 2:
-            raise ConfigError(f"t_min must be >= 2, got {t_min}")
-        if t_max <= t_min:
-            raise ConfigError(f"t_max ({t_max}) must exceed t_min ({t_min})")
+        problems = window_problems(t_min, t_max)
         if l_max < 0:
-            raise ConfigError(f"l_max must be >= 0, got {l_max}")
+            problems.append(f"l_max must be >= 0, got {l_max}")
+        if problems:
+            raise ConfigError(*problems)
         self.dims = dims
         self.hw = dims.hw()
         self.t_min = t_min
@@ -109,6 +120,11 @@ class TrackMemory:
     @property
     def frame_count(self) -> int:
         return len(self.inserted_at)
+
+    @property
+    def due(self) -> bool:
+        """Consolidation is due: the store is bounded and holds t_max frames."""
+        return not self.unbounded and self.frame_count == self.t_max
 
     @property
     def long_term(self) -> Segment:
@@ -147,7 +163,7 @@ class TrackMemory:
     ) -> None:
         """Append one frame's columns with zero usage. The first append is the
         immortal reference frame."""
-        if not self.unbounded and self.frame_count >= self.t_max:
+        if self.due:
             raise CapacityError(
                 f"append at frame cap t_max={self.t_max}; consolidation is overdue"
             )
@@ -166,7 +182,7 @@ class TrackMemory:
             raise ContractError(
                 f"insertion frame {frame_idx} not after {self.inserted_at[-1]}"
             )
-        self._put(slice(self.n, self.n + hw), keys.data.T, shrinkage.data, values.data.T, 0.0)
+        self._put(slice(self.n, self.n + hw), keys.data.T, shrinkage.data, values.data.T)
         self.n += hw
         self.inserted_at.append(frame_idx)
 
@@ -197,12 +213,8 @@ class TrackMemory:
         frames after the reference frame: channel-major keys, shrinkage and
         values, their memory operand columns and their residency-normalized
         usage. Like `read`'s, they are neither copied nor re-validated."""
-        self._check_full()
-        hw = self.hw
-        first = self.lt + hw
-        count = (self.t_max - self.t_min) * hw
-        columns = slice(first, first + count)
-        usage = self.normalized_usage(current_frame_idx)[hw : hw + count]
+        columns = self._candidate_span()
+        usage = self.normalized_usage(current_frame_idx)[self.hw : columns.stop - self.lt]
         return (*self.blocks(columns), *_read_only(self.operand[:, columns]), usage)
 
     def commit(
@@ -218,14 +230,13 @@ class TrackMemory:
         mean an older element. New prototypes start at zero usage. They come
         as `potentiate` returns them and are not re-validated.
         """
-        self._check_full()
+        span = self._candidate_span()
         new = proto_keys.shape[1]
         if proto_shrinkage.shape != (new,) or proto_values.shape[1] != new:
             raise ShapeError("prototype key/shrinkage/value counts differ")
         if new > self.l_max:
             raise ConfigError(f"committing {new} prototypes exceeds l_max={self.l_max}")
-        hw = self.hw
-        candidates = (self.t_max - self.t_min) * hw
+        candidates = span.stop - span.start
         evicted = max(0, self.lt + new - self.l_max)
         victims = lowest(self.usage[: self.lt], evicted)
         evicted_usage = float(self.usage[victims].sum())
@@ -233,31 +244,33 @@ class TrackMemory:
         # the kept frames move before the prototypes land, which may be on
         # their old rows; the newest first, as the reference frame's new
         # rows may overlap their old ones
-        self._move(slice(self.lt + hw + candidates, self.n), lt + hw)
-        self._move(slice(self.lt, self.lt + hw), lt)
+        self._move(slice(span.stop, self.n), lt + self.hw)
+        self._move(slice(self.lt, span.start), lt)
         rows = np.concatenate([victims, np.arange(self.lt, lt)])
-        self._put(rows, proto_keys.T, proto_shrinkage, proto_values.T, 0.0)
+        self._put(rows, proto_keys.T, proto_shrinkage, proto_values.T)
         self.n = lt + self.n - self.lt - candidates
         self.lt = lt
-        self.inserted_at = self.inserted_at[:1] + self.inserted_at[1 + self.t_max - self.t_min :]
+        self.inserted_at = self.inserted_at[:1] + self.inserted_at[1 + candidates // self.hw :]
         return ConsolidationReport(
             prototype_count=new, evicted_count=evicted,
             candidate_elements=candidates, evicted_usage=evicted_usage,
         )
 
-    def _check_full(self) -> None:
-        if self.unbounded or self.frame_count != self.t_max:
-            raise ContractError(
-                f"consolidation requires frame_count == t_max, have {self.frame_count}"
-            )
+    def _candidate_span(self) -> slice:
+        """The elements of the t_max - t_min frames after the reference frame,
+        which consolidation replaces; only while it is due."""
+        if not self.due:
+            raise ContractError(f"consolidation is not due at {self.frame_count} frames")
+        first = self.lt + self.hw
+        return slice(first, first + (self.t_max - self.t_min) * self.hw)
 
-    def _put(self, rows, keys, shrinkage, values, usage) -> None:
-        """Write element rows, a slice or row indices, and derive their
-        operand columns, whose last row is the only copy of the shrinkage."""
+    def _put(self, rows, keys, shrinkage, values) -> None:
+        """Write element rows, a slice or row indices, at zero usage, and derive
+        their operand columns, whose last row is the only copy of the shrinkage."""
         self._reserve(rows.stop if isinstance(rows, slice) else rows.max(initial=-1) + 1)
         self.keys[rows] = keys
         self.values[rows] = values
-        self.usage[rows] = usage
+        self.usage[rows] = 0.0
         if isinstance(rows, slice):
             # written in place: a temporary per slice raised the lt-churn
             # benchmark's peak RSS from 83.9 to 89.0 MB (medians of 6 pairs)

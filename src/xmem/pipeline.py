@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, get_args
 
 import numpy as np
 
@@ -47,7 +47,7 @@ from .long_term_memory import (
     select_prototypes,
     select_random,
 )
-from .memory import Segment, TrackMemory
+from .memory import Segment, TrackMemory, window_problems
 from .sensory import GruWeights, SensoryState, deep_update, gru_step
 
 DeepUpdateMode = Literal["every_rth", "every_frame", "never"]
@@ -72,34 +72,27 @@ class PipelineConfig:
     sensory_input_channels: int | None = None
 
     def __post_init__(self):
+        """Check every rule; one ConfigError carries each rule broken."""
+        problems = window_problems(self.t_min, self.t_max)
         if self.r < 1:
-            raise ConfigError(f"r must be >= 1, got {self.r}")
-        if self.t_min < 2:
-            raise ConfigError(f"t_min must be >= 2, got {self.t_min}")
-        if self.t_max <= self.t_min:
-            raise ConfigError(
-                f"t_max ({self.t_max}) must exceed t_min ({self.t_min})"
-            )
+            problems.append(f"r must be >= 1, got {self.r}")
         if self.p < 1:
-            raise ConfigError(f"p must be >= 1, got {self.p}")
+            problems.append(f"p must be >= 1, got {self.p}")
         if self.top_k < 1:
-            raise ConfigError(f"top_k must be >= 1, got {self.top_k}")
+            problems.append(f"top_k must be >= 1, got {self.top_k}")
         if self.l_max < self.p:
-            raise ConfigError(
-                f"l_max ({self.l_max}) must be >= p ({self.p})"
-            )
+            problems.append(f"l_max ({self.l_max}) must be >= p ({self.p})")
         if not 0 <= self.insert_offset < self.r:
-            raise ConfigError(
-                f"insert_offset ({self.insert_offset}) must lie in [0, r)"
-            )
-        if self.deep_update_mode not in ("every_rth", "every_frame", "never"):
-            raise ConfigError(f"unknown deep_update_mode {self.deep_update_mode!r}")
-        if self.prototype_strategy not in ("usage", "random", "kmeans"):
-            raise ConfigError(f"unknown prototype_strategy {self.prototype_strategy!r}")
-        if self.sensory_input_channels is not None and self.sensory_input_channels < 1:
-            raise ConfigError(
-                f"sensory_input_channels must be >= 1, got {self.sensory_input_channels}"
-            )
+            problems.append(f"insert_offset ({self.insert_offset}) must lie in [0, r)")
+        if self.deep_update_mode not in get_args(DeepUpdateMode):
+            problems.append(f"unknown deep_update_mode {self.deep_update_mode!r}")
+        if self.prototype_strategy not in get_args(PrototypeStrategy):
+            problems.append(f"unknown prototype_strategy {self.prototype_strategy!r}")
+        channels = self.sensory_input_channels
+        if channels is not None and channels < 1:
+            problems.append(f"sensory_input_channels must be >= 1, got {channels}")
+        if problems:
+            raise ConfigError(*problems)
 
     @property
     def sensory_channels(self) -> int:
@@ -321,7 +314,7 @@ class Pipeline:
             report = None
             if insert:
                 memory.append_frame(query, shrinkage, values, frame_idx)
-                if not cfg.unbounded and memory.frame_count == cfg.t_max:
+                if memory.due:
                     keys, _, cand_values, cand_operand, usage = memory.candidates(frame_idx)
                     indices = self._select(keys, usage, frame_idx)
                     report = memory.commit(

@@ -105,7 +105,7 @@ class StreamHeader:
     def bytes_per_object(self) -> int:
         return 4 * sum(math.prod(shape) for shape in self.shapes().values())
 
-    def dims(self, c_h: int = 64) -> FeatureDims:
+    def dims(self, c_h: int) -> FeatureDims:
         return FeatureDims(h=self.h, w=self.w, c_k=self.c_k, c_v=self.c_v, c_h=c_h)
 
     def pack(self) -> bytes:

@@ -316,3 +316,76 @@ def test_failed_snapshot_exits_one_and_leaves_no_snapshot(tmp_path, capsys, faul
     assert not snap.exists()
     header, rows = _read_csv(out)
     assert header[0] == "frame_idx" and len(rows) == 30
+
+
+# both messages named the PipelineConfig field, not the flag the user typed
+@pytest.mark.parametrize("flag", ["--topk", "--proto-p"])
+def test_zero_engine_flag_error_names_its_flag(tmp_path, capsys, flag):
+    out = tmp_path / "m.csv"
+    assert main(SMALL + ["--frames", "3", flag, "0", "--metrics-out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {flag} must be >= 1, got 0\n"
+    assert not out.exists()
+
+
+def test_each_broken_window_rule_gets_its_own_error_line(tmp_path, capsys):
+    out = tmp_path / "m.csv"
+    argv = SMALL + ["--frames", "3", "--tmin", "1", "--tmax", "1", "--metrics-out", str(out)]
+    assert main(argv) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 2 and all(line.startswith("error: ") for line in lines)
+    assert any("--tmin" in line and "must be >= 2" in line for line in lines)
+    assert any("--tmax" in line and "--tmin" in line and "exceed" in line for line in lines)
+    assert not out.exists()
+
+
+def test_flag_defaults_and_choices_are_the_engines():
+    import dataclasses
+    import typing
+
+    from xmem.cli import DEEP_UPDATE_FLAGS, build_parser
+    from xmem.pipeline import DeepUpdateMode, PrototypeStrategy
+
+    parser = build_parser()
+    args = parser.parse_args(["--synthetic", "--metrics-out", "m.csv"])
+    fields = {f.name: f.default for f in dataclasses.fields(PipelineConfig)}
+    dims = {f.name: f.default for f in dataclasses.fields(FeatureDims)}
+    flags = {
+        "r": args.r, "t_min": args.tmin, "t_max": args.tmax, "p": args.proto_p,
+        "top_k": args.topk, "l_max": args.lt_max, "insert_offset": args.insert_offset,
+        "sensory_input_channels": args.cin, "unbounded": args.unbounded,
+        "prototype_strategy": args.strategy,
+        "deep_update_mode": DEEP_UPDATE_FLAGS[args.deep_update],
+    }
+    assert flags == {name: fields[name] for name in flags}
+    assert (args.ck, args.cv, args.ch) == (dims["c_k"], dims["c_v"], dims["c_h"])
+    assert "--strategy {" + ",".join(typing.get_args(PrototypeStrategy)) + "}" in (
+        parser.format_usage()
+    )
+    assert sorted(DEEP_UPDATE_FLAGS.values()) == sorted(typing.get_args(DeepUpdateMode))
+
+
+def test_flag_and_configuration_errors_of_a_synthetic_run_are_reported_together(
+    tmp_path, capsys
+):
+    out = tmp_path / "m.csv"
+    argv = SMALL + ["--frames", "3", "--objects", "0", "--r", "0", "--metrics-out", str(out)]
+    assert main(argv) == 2
+    flags = sorted(line.split()[1] for line in capsys.readouterr().err.splitlines())
+    assert flags == ["--insert-offset", "--objects", "--r"]
+    assert not out.exists()
+
+
+# a stream's configuration needs its header, so a missing stream is reported
+# (exit 1) before a bad engine flag, which is reported once the header is read
+def test_a_streams_configuration_is_checked_after_its_header_is_read(tmp_path, capsys):
+    stream_path = tmp_path / "s.xmfs"
+    argv = SMALL + ["--frames", "2", "--stream-out", str(stream_path)]
+    assert main(argv + ["--metrics-out", str(tmp_path / "m.csv")]) == 0
+    out = tmp_path / "replay.csv"
+    bad = ["--tmin", "1", "--metrics-out", str(out)]
+    assert main(["--input", str(tmp_path / "absent.xmfs"), *bad]) == 1
+    capsys.readouterr()
+    assert main(["--input", str(stream_path), *bad]) == 2
+    assert capsys.readouterr().err == "error: --tmin must be >= 2, got 1\n"
+    assert not out.exists()

@@ -567,3 +567,16 @@ def test_single_block_reads_start_no_thread(monkeypatch):
     assert any(out.events.consolidated for out in outputs)
     assert affinity_module._pool is None
     assert threading.active_count() == before
+
+
+def test_config_reports_every_broken_rule_in_one_error():
+    with pytest.raises(ConfigError) as err:
+        _config(r=0, t_min=1, t_max=1, p=0, top_k=0, l_max=50)
+    assert err.value.args == (
+        "t_min must be >= 2, got 1",
+        "t_max (1) must exceed t_min (1)",
+        "r must be >= 1, got 0",
+        "p must be >= 1, got 0",
+        "top_k must be >= 1, got 0",
+        "insert_offset (0) must lie in [0, r)",
+    )

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from xmem import (
     CapacityError,
+    ConfigError,
     ContractError,
     FeatureDims,
     KeyBlock,
@@ -313,3 +314,30 @@ def test_reference_never_a_candidate(t_min, extra):
     npt.assert_array_equal(
         _keys(memory, memory.working.columns)[:, :hw], _frame(0)[0].data
     )
+
+
+def test_store_reports_every_broken_rule_in_one_error():
+    with pytest.raises(ConfigError) as err:
+        TrackMemory(DIMS, t_min=1, t_max=1, l_max=-1)
+    assert err.value.args == (
+        "t_min must be >= 2, got 1",
+        "t_max (1) must exceed t_min (1)",
+        "l_max must be >= 0, got -1",
+    )
+
+
+def test_consolidation_is_due_at_t_max_frames_until_commit():
+    memory = _filled(2, 4, 3)
+    assert not memory.due
+    memory.append_frame(*_frame(3), frame_idx=30)
+    assert memory.due
+    _consolidate(memory, 30, picks=[0])
+    assert not memory.due and memory.frame_count == 2
+
+
+def test_unbounded_store_is_never_due():
+    memory = _filled(2, 4, 1, unbounded=True)
+    for i in range(1, 9):
+        assert not memory.due
+        memory.append_frame(*_frame(i), frame_idx=i)
+        assert not memory.due
