@@ -49,6 +49,6 @@ from .pipeline import (
     PipelineConfig,
     soft_aggregate,
 )
-from .sensory import GruWeights, SensoryState, deep_update, gru_step
+from .sensory import GruWeights, deep_update, gru_step
 
 __version__ = "0.1.0"

@@ -110,7 +110,7 @@ def _validate(args) -> list[str]:
         problems.append(f"--seed ({args.seed}) must be >= 0")
     if args.synthetic and not (math.isfinite(args.drift) and args.drift >= 0):
         problems.append(f"--drift ({args.drift}) must be finite and >= 0")
-    if args.stream_out and not args.synthetic:
+    if args.stream_out is not None and not args.synthetic:
         problems.append("--stream-out requires --synthetic")
     return problems
 
@@ -122,9 +122,9 @@ def main(argv=None) -> int:
     try:
         # a stream's header is read, and its configuration checked, only once
         # the other flags pass; a synthetic run's is checked along with them
-        if problems and args.input:
+        if problems and args.input is not None:
             raise ConfigError()
-        if args.input:
+        if args.input is not None:
             header = stream.read_header(args.input)
         else:
             header = stream.StreamHeader(
@@ -148,9 +148,9 @@ def main(argv=None) -> int:
         )
         if problems:
             raise ConfigError()
-        if args.input:
+        if args.input is not None:
             frames = stream.iter_frames(args.input)
-        elif args.stream_out:
+        elif args.stream_out is not None:
             stream.generate_synthetic(args.stream_out, args.seed, header, args.drift)
             frames = stream.iter_frames(args.stream_out)
         else:
@@ -158,7 +158,7 @@ def main(argv=None) -> int:
         pipeline, records = run_stream(frames, config, seed=args.seed)
         write_metrics_csv(args.metrics_out, records, no_timing=args.no_timing)
         if args.snapshot_out is not None:
-            stream.write_lt_snapshot(args.snapshot_out, pipeline.tracks)
+            stream.write_lt_snapshot(args.snapshot_out, [t.memory for t in pipeline.tracks])
     except ConfigError as exc:
         for problem in problems + list(exc.args):
             named = re.sub(r"\w+", lambda word: FIELD_FLAGS.get(word[0], word)[0], problem)

@@ -111,15 +111,15 @@ def oracle_top_p(usage, p: int) -> list[int]:
 
 
 def oracle_gru_step(h, x, w_z, b_z, w_r, b_r, w_h, b_h) -> np.ndarray:
-    """Per-position scalar GRU update, float64.
+    """Per-position scalar GRU update of a (c_h, n) state from (c_x, n) input, float64.
 
-    Each grid position updates from its own input and hidden vectors alone.
+    Each column updates from its own input and hidden vectors alone.
     Gate weight rows index the input channels, then the hidden channels,
     matching the engine layout.
     """
     h = np.asarray(h, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
-    c_h, rows, cols = h.shape
+    c_h = h.shape[0]
 
     def gate(w, b, vec):
         out = []
@@ -132,16 +132,15 @@ def oracle_gru_step(h, x, w_z, b_z, w_r, b_r, w_h, b_h) -> np.ndarray:
         return out
 
     out = np.empty_like(h)
-    for r in range(rows):
-        for c in range(cols):
-            xv = [float(v) for v in x[:, r, c]]
-            hv = [float(v) for v in h[:, r, c]]
-            z = [1.0 / (1.0 + math.exp(-a)) for a in gate(w_z, b_z, xv + hv)]
-            reset = [1.0 / (1.0 + math.exp(-a)) for a in gate(w_r, b_r, xv + hv)]
-            h_reset = [g * v for g, v in zip(reset, hv)]
-            cand = [math.tanh(a) for a in gate(w_h, b_h, xv + h_reset)]
-            for o in range(c_h):
-                out[o, r, c] = (1.0 - z[o]) * hv[o] + z[o] * cand[o]
+    for j in range(h.shape[1]):
+        xv = [float(v) for v in x[:, j]]
+        hv = [float(v) for v in h[:, j]]
+        z = [1.0 / (1.0 + math.exp(-a)) for a in gate(w_z, b_z, xv + hv)]
+        reset = [1.0 / (1.0 + math.exp(-a)) for a in gate(w_r, b_r, xv + hv)]
+        h_reset = [g * v for g, v in zip(reset, hv)]
+        cand = [math.tanh(a) for a in gate(w_h, b_h, xv + h_reset)]
+        for o in range(c_h):
+            out[o, j] = (1.0 - z[o]) * hv[o] + z[o] * cand[o]
     return out
 
 

@@ -2,11 +2,12 @@
 
 Every frame: read from the track's memory (long-term prototypes and working
 frames in one buffer), route the affinity mass into per-element usage, and
-advance the sensory state. Every r-th frame: copy the query in as a new
-working-memory key (with its value and shrinkage) and optionally deep-update
-the sensory state. When the working memory reaches its frame cap,
-consolidate the oldest non-reference frames into long-term prototypes,
-evicting least-used prototypes if the cap demands.
+advance the track's sensory state, one (c_h, h*w) array. Every r-th frame:
+copy the query in as a new working-memory key (with its value and
+shrinkage) and optionally deep-update the sensory state. When the working
+memory reaches its frame cap, consolidate the oldest non-reference frames
+into long-term prototypes, evicting least-used prototypes if the cap
+demands.
 
 One pipeline per stream; object tracks share nothing. The frame loop is
 sequential and runs on the calling thread, objects one after another; only
@@ -48,7 +49,7 @@ from .long_term_memory import (
     select_random,
 )
 from .memory import Segment, TrackMemory, window_problems
-from .sensory import GruWeights, SensoryState, deep_update, gru_step
+from .sensory import GruWeights, deep_update, gru_step
 
 DeepUpdateMode = Literal["every_rth", "every_frame", "never"]
 PrototypeStrategy = Literal["usage", "random", "kmeans"]
@@ -130,7 +131,8 @@ class ObjectFeatures:
 class ObjectTrack:
     object_id: int
     memory: TrackMemory
-    sensory: SensoryState
+    # the read-only (c_h, h*w) sensory state; each step replaces it
+    sensory: np.ndarray
 
     @property
     def working(self) -> Segment:
@@ -211,13 +213,9 @@ class Pipeline:
                 dims, config.t_min, config.t_max, config.l_max, config.unbounded
             )
             memory.append_frame(query, shrinkage, values, frame_idx=0)
-            self.tracks.append(
-                ObjectTrack(
-                    object_id=obj_id,
-                    memory=memory,
-                    sensory=SensoryState.zeros(dims.c_h, dims.h, dims.w),
-                )
-            )
+            sensory = np.zeros((dims.c_h, dims.hw()), dtype=np.float32)
+            sensory.setflags(write=False)
+            self.tracks.append(ObjectTrack(obj_id, memory, sensory))
         self.last_frame_idx = 0
         self.last_read_ns = 0
 
@@ -243,7 +241,7 @@ class Pipeline:
         All five fields must have their documented shapes; the fields the
         frame uses must be finite (values only when `use_values`). Returns per
         object, in field order, the query, shrinkage, selection, values (None
-        when unused) and sensory input grid.
+        when unused) and sensory input.
         """
         cfg = self.config
         dims = cfg.dims
@@ -254,7 +252,7 @@ class Pipeline:
             "raw_shrinkage": map_shrinkage,
             "raw_selection": map_selection,
             "values": ValueBlock if use_values else lambda _: None,
-            "sensory_input": lambda x: _sensory_grid(x, dims),
+            "sensory_input": _finite,
         }
         ingested = []
         for obj, feats in enumerate(features):
@@ -307,9 +305,7 @@ class Pipeline:
 
             track.sensory = gru_step(track.sensory, sensory_input, self.gru_weights)
             if deep:
-                track.sensory = deep_update(
-                    track.sensory, _grid(values, dims), self.deep_weights
-                )
+                track.sensory = deep_update(track.sensory, values.data, self.deep_weights)
 
             report = None
             if insert:
@@ -333,12 +329,8 @@ class Pipeline:
         ]
 
 
-def _sensory_grid(raw, dims: FeatureDims) -> np.ndarray:
-    grid = np.asarray(raw, dtype=np.float32)
-    if not np.isfinite(grid).all():
+def _finite(raw) -> np.ndarray:
+    arr = np.asarray(raw, dtype=np.float32)
+    if not np.isfinite(arr).all():
         raise ValidationError("contains non-finite entries")
-    return grid.reshape(-1, dims.h, dims.w)
-
-
-def _grid(values: ValueBlock, dims: FeatureDims) -> np.ndarray:
-    return values.data.reshape(dims.c_v, dims.h, dims.w)
+    return arr

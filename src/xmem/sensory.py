@@ -1,11 +1,12 @@
 """Recurrent per-frame hidden state.
 
-A gated recurrent cell applied at every grid position on its own: the gates
-are linear maps over the stacked [input; hidden] channels of that position,
-updated from decoder-side features every frame. A second, independently
-weighted cell refreshes the same state from value-side features on insertion
-frames (the deep update). Weights are never trained here; `Pipeline` seeds
-its own from the pipeline seed.
+Each object's state is one read-only float32 (c_h, h*w) array, one column
+per grid position, starting at zero. A gated recurrent cell updates every
+column on its own: the gates are linear maps over the stacked
+[input; hidden] channels of that column, fed from decoder-side features
+every frame. A second, independently weighted cell refreshes the same state
+from value-side features on insertion frames (the deep update). Weights are
+never trained here; `Pipeline` seeds its own from the pipeline seed.
 """
 
 from __future__ import annotations
@@ -15,26 +16,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .core_types import ShapeError, sigmoid
-
-
-@dataclass(frozen=True)
-class SensoryState:
-    """Hidden map of shape c_h x h x w. Starts at zero; stays in [-1, 1]."""
-
-    h: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.h, dtype=np.float32)
-        if arr is self.h:
-            arr = arr.copy()
-        if arr.ndim != 3:
-            raise ShapeError(f"sensory state must be 3-D, got {arr.shape}")
-        arr.setflags(write=False)
-        object.__setattr__(self, "h", arr)
-
-    @classmethod
-    def zeros(cls, c_h: int, height: int, width: int) -> "SensoryState":
-        return cls(np.zeros((c_h, height, width), dtype=np.float32))
 
 
 @dataclass(frozen=True)
@@ -96,17 +77,18 @@ class GruWeights:
         return cls(w(), b(), w(), b(), w(), b())
 
 
-def gru_step(state: SensoryState, x: np.ndarray, weights: GruWeights) -> SensoryState:
-    """One gated update of the hidden map from input features x (c_x, h, w).
+def gru_step(h: np.ndarray, x: np.ndarray, weights: GruWeights) -> np.ndarray:
+    """One gated update of the (c_h, n) hidden state from input features x (c_x, n).
 
-    Per position: z and r gate from [x, h]; the candidate reads the reset-
-    scaled hidden map; the new state is the z-gated convex mix of old state
-    and candidate, so values never leave [-1, 1] once inside it.
+    Per column: z and r gate from [x, h]; the candidate reads the reset-
+    scaled hidden state; the new state is the z-gated convex mix of old state
+    and candidate, so values never leave [-1, 1] once inside it. Returns a
+    new read-only float32 array.
     """
-    h = state.h
+    h = np.asarray(h, dtype=np.float32)
     x = np.asarray(x, dtype=np.float32)
-    if x.ndim != 3 or x.shape[1:] != h.shape[1:]:
-        raise ShapeError(f"input grid {x.shape} does not match state {h.shape}")
+    if x.ndim != 2 or h.ndim != 2 or x.shape[1] != h.shape[1]:
+        raise ShapeError(f"input {x.shape} and state {h.shape} need 2-D, equal columns")
     if x.shape[0] != weights.input_channels:
         raise ShapeError(
             f"input has {x.shape[0]} channels, weights expect {weights.input_channels}"
@@ -115,25 +97,22 @@ def gru_step(state: SensoryState, x: np.ndarray, weights: GruWeights) -> Sensory
         raise ShapeError(
             f"state has {h.shape[0]} channels, weights expect {weights.hidden_channels}"
         )
-    c_h, height, width = h.shape
-    x_flat = x.reshape(x.shape[0], height * width)
-    h_flat = h.reshape(c_h, height * width)
-
-    xh = np.concatenate([x_flat, h_flat])
+    xh = np.concatenate([x, h])
     z = sigmoid(weights.w_z @ xh + weights.b_z[:, None])
     r = sigmoid(weights.w_r @ xh + weights.b_r[:, None])
-    x_reset = np.concatenate([x_flat, r * h_flat])
+    x_reset = np.concatenate([x, r * h])
     cand = np.tanh(weights.w_h @ x_reset + weights.b_h[:, None])
-    new = (1.0 - z) * h_flat + z * cand
-    return SensoryState(new.reshape(c_h, height, width))
+    new = (1.0 - z) * h + z * cand
+    new.setflags(write=False)
+    return new
 
 
 def deep_update(
-    state: SensoryState, value_features: np.ndarray, deep_weights: GruWeights
-) -> SensoryState:
-    """Refresh the state from value-side features with independent weights.
+    h: np.ndarray, value_features: np.ndarray, deep_weights: GruWeights
+) -> np.ndarray:
+    """Refresh the state from (c_v, n) value-side features with independent weights.
 
     Same gate equations as gru_step; fired only on frames that also insert
     into the working memory (or per the configured schedule).
     """
-    return gru_step(state, value_features, deep_weights)
+    return gru_step(h, value_features, deep_weights)

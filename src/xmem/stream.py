@@ -233,15 +233,15 @@ class SnapshotObject:
     usage: np.ndarray
 
 
-def write_lt_snapshot(path: str | Path, tracks) -> None:
-    """Serialize each track's long-term store for offline inspection: a
-    snapshot `read_lt_snapshot` accepts, or no file."""
-    dims = tracks[0].memory.dims
-    head = _SNAPSHOT.pack(len(tracks), dims.c_k, dims.c_v)
+def write_lt_snapshot(path: str | Path, memories) -> None:
+    """Serialize each `TrackMemory`'s long-term store for offline inspection:
+    a snapshot `read_lt_snapshot` accepts, or no file."""
+    dims = memories[0].dims
+    head = _SNAPSHOT.pack(len(memories), dims.c_k, dims.c_v)
     with whole_or_absent(path) as f:
         f.write(head)
-        for track in tracks:
-            memory, lt = track.memory, track.long_term.columns
+        for memory in memories:
+            lt = memory.long_term.columns
             f.write(struct.pack("<I", memory.lt))
             for block in memory.blocks(lt):
                 f.write(np.asarray(block, dtype="<f4").tobytes())

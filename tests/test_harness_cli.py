@@ -389,3 +389,17 @@ def test_a_streams_configuration_is_checked_after_its_header_is_read(tmp_path, c
     assert main(["--input", str(stream_path), *bad]) == 2
     assert capsys.readouterr().err == "error: --tmin must be >= 2, got 1\n"
     assert not out.exists()
+
+
+# an empty path was taken for no path: `--input ""` replayed a synthetic
+# stream and exited 0 with a full metrics CSV, and `--stream-out ""` wrote no
+# stream and exited 0
+@pytest.mark.parametrize("flag", ["--input", "--stream-out"])
+def test_an_empty_path_is_a_file_that_cannot_be_opened(tmp_path, capsys, flag):
+    out = tmp_path / "m.csv"
+    source = [] if flag == "--input" else ["--synthetic"]
+    argv = source + [flag, "", "--small", "--ck", "4", "--cv", "4", "--ch", "4", "--frames", "3"]
+    assert main(argv + ["--metrics-out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert not out.exists()

@@ -60,8 +60,8 @@ def test_top_p_full_sort_with_ties():
 
 def test_gru_zero_weights_halves_state():
     c_h, c_x = 2, 3
-    h = np.full((c_h, 2, 2), 0.6)
-    x = np.zeros((c_x, 2, 2))
+    h = np.full((c_h, 2, 2), 0.6).reshape(c_h, 4)
+    x = np.zeros((c_x, 2, 2)).reshape(c_x, 4)
     zeros_w = np.zeros((c_h, c_x + c_h))
     zeros_b = np.zeros(c_h)
     out = oracle_gru_step(h, x, zeros_w, zeros_b, zeros_w, zeros_b, zeros_w, zeros_b)

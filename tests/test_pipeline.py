@@ -17,6 +17,8 @@ from xmem import (
     PipelineConfig,
     ShapeError,
     ValidationError,
+    deep_update,
+    gru_step,
     soft_aggregate,
 )
 from xmem.harness import run_stream
@@ -72,7 +74,7 @@ def test_init_three_independent_tracks():
 
 def test_init_sensory_state_is_zero():
     p = Pipeline(_config(), next(_frames(1)))
-    npt.assert_array_equal(p.tracks[0].sensory.h, 0.0)
+    npt.assert_array_equal(p.tracks[0].sensory, 0.0)
 
 
 def test_init_requires_objects():
@@ -141,7 +143,7 @@ def _state(p):
     for t in p.tracks:
         m, n = t.memory, t.memory.n
         tracks.append((n, m.usage[:n].tobytes(), m.operand[:, :n].tobytes(),
-                       m.values[:n].tobytes(), t.sensory.h.tobytes()))
+                       m.values[:n].tobytes(), t.sensory.tobytes()))
     return p.last_frame_idx, tracks
 
 
@@ -387,7 +389,7 @@ def test_deterministic_replay_is_bitwise():
         return (
             last[0].readout.tobytes(),
             p.tracks[0].memory.blocks(p.tracks[0].long_term.columns)[0].tobytes(),
-            p.tracks[0].sensory.h.tobytes(),
+            p.tracks[0].sensory.tobytes(),
         )
 
     assert final_state() == final_state()
@@ -424,6 +426,26 @@ def test_deep_update_schedule(mode, expected_frames, monkeypatch):
         p.step(feats, idx)
     expected = {"insertions": 2, "all": 8, "none": 0}[expected_frames]
     assert len(calls) == expected
+
+
+def test_sensory_state_is_the_chain_of_cell_updates():
+    # sensory input with as many channels as the query, so that a cell fed
+    # the query runs and only its bytes tell it apart
+    cfg = _config(r=2, t_min=2, t_max=4, p=6, l_max=30, sensory_input_channels=DIMS.c_k)
+    frames = list(_frames(9, objects=2, seed=4, c_in=DIMS.c_k))
+    p = Pipeline(cfg, frames[0])
+    want = [np.zeros((DIMS.c_h, DIMS.hw()), dtype=np.float32) for _ in range(2)]
+    for idx in range(1, len(frames)):
+        p.step(frames[idx], idx)
+        for obj, feats in enumerate(frames[idx]):
+            want[obj] = gru_step(want[obj], feats.sensory_input, p.gru_weights)
+            if idx % 2 == 0:
+                want[obj] = deep_update(want[obj], feats.values, p.deep_weights)
+        for track, state in zip(p.tracks, want):
+            assert track.sensory.shape == (DIMS.c_h, DIMS.hw())
+            assert track.sensory.dtype == np.float32
+            assert not track.sensory.flags.writeable
+            assert track.sensory.tobytes() == state.tobytes()
 
 
 # -- soft aggregation ------------------------------------------------------------
@@ -518,7 +540,7 @@ def _threaded_run(seed):
         evicted += sum(o.events.evicted_count for o in outputs)
         out.append(
             [(o.readout.tobytes(), o.fused_probabilities.tobytes()) for o in outputs]
-            + [(t.sensory.h.tobytes(), t.memory.usage[: t.memory.n].tobytes())
+            + [(t.sensory.tobytes(), t.memory.usage[: t.memory.n].tobytes())
                for t in pipeline.tracks]
         )
     assert evicted > 0

@@ -4,12 +4,13 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from xmem import GruWeights, SensoryState, deep_update, gru_step
+from xmem import GruWeights, deep_update, gru_step
 from xmem.core_types import ShapeError
 from xmem.oracle import oracle_gru_step
 
 C_X, C_H = 3, 4
 GRID = (C_H, 5, 6)
+N = 5 * 6
 
 
 def _weights(seed=0, scale=None):
@@ -17,12 +18,11 @@ def _weights(seed=0, scale=None):
 
 
 def _state(rng):
-    return SensoryState(rng.uniform(-1, 1, GRID).astype(np.float32))
+    return rng.uniform(-1, 1, GRID).astype(np.float32).reshape(C_H, N)
 
 
-def test_initial_state_is_zero():
-    state = SensoryState.zeros(C_H, 5, 6)
-    npt.assert_array_equal(state.h, 0.0)
+def _input(rng, channels=C_X):
+    return rng.normal(size=(channels, 5, 6)).astype(np.float32).reshape(channels, N)
 
 
 def test_closed_update_gate_is_identity():
@@ -33,9 +33,9 @@ def test_closed_update_gate_is_identity():
         w.w_z, np.full(C_H, -1e9, dtype=np.float32), w.w_r, w.b_r, w.w_h, w.b_h
     )
     state = _state(rng)
-    x = rng.normal(size=(C_X, 5, 6)).astype(np.float32)
+    x = _input(rng)
     out = gru_step(state, x, closed)
-    npt.assert_allclose(out.h, state.h, atol=1e-6)
+    npt.assert_allclose(out, state, atol=1e-6)
 
 
 def test_zero_weights_halve_the_state():
@@ -44,48 +44,48 @@ def test_zero_weights_halve_the_state():
     w = GruWeights(zeros_w, zeros_b, zeros_w, zeros_b, zeros_w, zeros_b)
     rng = np.random.default_rng(51)
     state = _state(rng)
-    out = gru_step(state, np.zeros((C_X, 5, 6), dtype=np.float32), w)
-    npt.assert_allclose(out.h, 0.5 * state.h, atol=1e-6)
+    out = gru_step(state, np.zeros((C_X, N), dtype=np.float32), w)
+    npt.assert_allclose(out, 0.5 * state, atol=1e-6)
 
 
 def test_matches_scalar_oracle():
     rng = np.random.default_rng(52)
     w = _weights(seed=3)
     state = _state(rng)
-    x = rng.normal(size=(C_X, 5, 6)).astype(np.float32)
+    x = _input(rng)
     out = gru_step(state, x, w)
-    ref = oracle_gru_step(state.h, x, w.w_z, w.b_z, w.w_r, w.b_r, w.w_h, w.b_h)
-    npt.assert_allclose(out.h, ref, atol=1e-5)
+    ref = oracle_gru_step(state, x, w.w_z, w.b_z, w.w_r, w.b_r, w.w_h, w.b_h)
+    npt.assert_allclose(out, ref, atol=1e-5)
 
 
 def test_deep_update_matches_scalar_oracle():
     rng = np.random.default_rng(53)
     w = GruWeights.seeded(7, C_H, seed=9)
     state = _state(rng)
-    x = rng.normal(size=(7, 5, 6)).astype(np.float32)
+    x = _input(rng, 7)
     out = deep_update(state, x, w)
-    ref = oracle_gru_step(state.h, x, w.w_z, w.b_z, w.w_r, w.b_r, w.w_h, w.b_h)
-    npt.assert_allclose(out.h, ref, atol=1e-5)
+    ref = oracle_gru_step(state, x, w.w_z, w.b_z, w.w_r, w.b_r, w.w_h, w.b_h)
+    npt.assert_allclose(out, ref, atol=1e-5)
 
 
 def test_trajectory_stays_bounded():
     rng = np.random.default_rng(54)
     w = _weights(seed=4)
-    state = SensoryState.zeros(*GRID)
+    state = np.zeros((C_H, N), dtype=np.float32)
     for _ in range(1000):
-        x = rng.normal(size=(C_X, 5, 6)).astype(np.float32)
+        x = _input(rng)
         state = gru_step(state, x, w)
-        assert np.abs(state.h).max() <= 1.0
+        assert np.abs(state).max() <= 1.0
 
 
 def test_same_seed_gives_bitwise_identical_trajectories():
     def trajectory():
         rng = np.random.default_rng(55)
         w = _weights(seed=5)
-        state = SensoryState.zeros(*GRID)
+        state = np.zeros((C_H, N), dtype=np.float32)
         for _ in range(50):
-            state = gru_step(state, rng.normal(size=(C_X, 5, 6)).astype(np.float32), w)
-        return state.h.tobytes()
+            state = gru_step(state, _input(rng), w)
+        return state.tobytes()
 
     assert trajectory() == trajectory()
 
@@ -99,11 +99,11 @@ def test_zero_input_zero_bias_state_decays():
     )
     rng = np.random.default_rng(56)
     state = _state(rng)
-    x = np.zeros((C_X, 5, 6), dtype=np.float32)
-    norms = [np.abs(state.h).max()]
+    x = np.zeros((C_X, N), dtype=np.float32)
+    norms = [np.abs(state).max()]
     for _ in range(60):
         state = gru_step(state, x, w)
-        norms.append(np.abs(state.h).max())
+        norms.append(np.abs(state).max())
     assert all(b <= a for a, b in zip(norms, norms[1:]))
     assert norms[-1] < 0.01 * norms[0]
 
@@ -113,9 +113,11 @@ def test_shape_mismatches_raise():
     w = _weights()
     state = _state(rng)
     with pytest.raises(ShapeError):
-        gru_step(state, rng.normal(size=(C_X + 1, 5, 6)).astype(np.float32), w)
+        gru_step(state, _input(rng, C_X + 1), w)
+    # an input with fewer columns than the state has
+    short = rng.normal(size=(C_X, 4, 6)).astype(np.float32).reshape(C_X, 4 * 6)
     with pytest.raises(ShapeError):
-        gru_step(state, rng.normal(size=(C_X, 4, 6)).astype(np.float32), w)
+        gru_step(state, short, w)
 
 
 def test_channel_counts_come_from_the_arrays():

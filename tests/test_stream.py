@@ -14,7 +14,6 @@ from xmem import (
     FeatureDims,
     KeyBlock,
     PipelineConfig,
-    SensoryState,
     ShapeError,
     ShrinkageVector,
     StreamFormatError,
@@ -23,7 +22,6 @@ from xmem import (
 )
 from xmem import stream as stream_module
 from xmem.harness import run_stream, write_metrics_csv
-from xmem.pipeline import ObjectTrack
 from xmem.stream import (
     StreamHeader,
     generate_synthetic,
@@ -200,7 +198,7 @@ def test_snapshot_roundtrip(tmp_path):
     )
     pipeline, _ = run_stream(synthetic_frames(5, header, 0.2), cfg)
     path = tmp_path / "lt.xmlt"
-    write_lt_snapshot(path, pipeline.tracks)
+    write_lt_snapshot(path, [t.memory for t in pipeline.tracks])
     snaps = read_lt_snapshot(path)
     assert len(snaps) == 2
     for track, snap in zip(pipeline.tracks, snaps):
@@ -223,7 +221,7 @@ def test_single_channel_snapshot_keeps_its_rows(tmp_path, c_k, c_v):
     )
     pipeline, _ = run_stream(synthetic_frames(3, header, 0.2), cfg)
     path = tmp_path / "lt.xmlt"
-    write_lt_snapshot(path, pipeline.tracks)
+    write_lt_snapshot(path, [t.memory for t in pipeline.tracks])
     (snap,) = read_lt_snapshot(path)
     (track,) = pipeline.tracks
     count = track.long_term.element_count
@@ -239,7 +237,7 @@ def test_single_channel_snapshot_keeps_its_rows(tmp_path, c_k, c_v):
 
 
 def test_snapshot_byte_layout_is_channel_major(tmp_path):
-    # one track whose long-term memory holds three known prototypes
+    # one store whose long-term memory holds three known prototypes
     dims = FeatureDims(h=1, w=4, c_k=2, c_v=3, c_h=2)
     memory = TrackMemory(dims, t_min=2, t_max=3, l_max=8)
     rng = np.random.default_rng(0)
@@ -259,9 +257,8 @@ def test_snapshot_byte_layout_is_channel_major(tmp_path):
     memory.commit(keys, shrinkage, values)
     usage = [0.1, 0.2, 0.3]  # not float32-representable: must stay float64
     memory.add_usage(np.concatenate([usage, np.zeros(memory.working.element_count)]))
-    track = ObjectTrack(0, memory, SensoryState.zeros(2, 1, 4))
     path = tmp_path / "lt.xmlt"
-    write_lt_snapshot(path, [track])
+    write_lt_snapshot(path, [memory])
 
     expected = b"XMLT" + struct.pack("<4I", 2, 1, 2, 3) + struct.pack("<I", 3)
     expected += struct.pack("<6f", 1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
@@ -328,7 +325,7 @@ def _write_snapshot(path):
         sensory_input_channels=2,
     )
     pipeline, _ = run_stream(synthetic_frames(5, header, 0.2), cfg)
-    write_lt_snapshot(path, pipeline.tracks)
+    write_lt_snapshot(path, [t.memory for t in pipeline.tracks])
     return [t.long_term.element_count for t in pipeline.tracks]
 
 
@@ -511,7 +508,7 @@ def _output_writers():
     )
     pipeline, records = run_stream(synthetic_frames(5, header, 0.2), cfg)
     return {
-        "snapshot": lambda path: write_lt_snapshot(path, pipeline.tracks),
+        "snapshot": lambda path: write_lt_snapshot(path, [t.memory for t in pipeline.tracks]),
         "csv": lambda path: write_metrics_csv(path, records),
     }
 
