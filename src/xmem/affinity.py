@@ -43,6 +43,7 @@ from __future__ import annotations
 import collections
 import os
 import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
@@ -65,21 +66,15 @@ _GROUPS = 1021
 _TINY = np.finfo(np.float32).tiny
 
 
-def memory_operand(
-    keys: np.ndarray, shrinkage: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
+def memory_operand(keys: np.ndarray, shrinkage: np.ndarray) -> np.ndarray:
     """The similarity's memory operand: for channel-major keys (c_k, n) and
-    shrinkage (n,), the float32 (2c_k+1, n) rows [s*k; (s*k)*k; s].
-
-    Written into `out` when given (a store's columns), else a new array.
-    """
+    shrinkage (n,), the float32 (2c_k+1, n) rows [s*k; (s*k)*k; s]."""
     keys = np.asarray(keys, dtype=np.float32)
     shrinkage = np.asarray(shrinkage, dtype=np.float32)
     c_k, n = keys.shape
     if shrinkage.shape != (n,):
         raise ShapeError(f"keys have {n} elements but shrinkage has shape {shrinkage.shape}")
-    if out is None:
-        out = np.empty((2 * c_k + 1, n), dtype=np.float32)
+    out = np.empty((2 * c_k + 1, n), dtype=np.float32)
     np.multiply(keys, shrinkage, out=out[:c_k])
     np.multiply(out[:c_k], keys, out=out[c_k : 2 * c_k])
     out[2 * c_k] = shrinkage
@@ -191,7 +186,7 @@ def _buffer(size: int) -> np.ndarray:
     return buffer
 
 
-# the concurrent.futures.ThreadPoolExecutor of the first threaded read
+# the ThreadPoolExecutor of the first threaded read
 _pool = None
 _pool_lock = threading.Lock()
 
@@ -235,10 +230,6 @@ def _run(read_block, hw: int) -> None:
 
     if workers == 1:
         return share(0)
-    # imported with the pool, not with the module: the import alone raised the
-    # peak RSS of the single-block lt-churn benchmark by about 5 MB
-    from concurrent.futures import ThreadPoolExecutor, wait
-
     global _pool
     with _pool_lock:
         if _pool is None:

@@ -11,21 +11,23 @@ immortal reference frame first. The capacity is the hard bound
 t_max*h*w + l_max, so the buffer is allocated once; only the unbounded
 comparison mode, which never consolidates, grows it by doubling. The
 operand alone starts small and doubles as elements arrive, up to the
-capacity. `_reserve` is the only code that grows a buffer. Reads take views
-of elements [0, n) and consolidation, once `due`, rewrites them in place.
-`window_problems`, which `PipelineConfig` shares, states the window rule.
+capacity. Only `append_frame` and `_move` grow a buffer (`_reserve`);
+`commit` writes below the old n. Reads take views of elements [0, n) and
+consolidation, once `due`, rewrites them in place. `window_problems`, which
+`PipelineConfig` shares, states the window rule.
 
 This module alone knows the layout. Blocks go in channel-major (one column
 per element, as everywhere else) and contents come out as read-only
 channel-major array views: `blocks` for any range of elements. Operand
 columns leave only through `read`, with the raw element-major value rows,
 for the read path, and through `candidates`, for potentiation. Every row is
-written by `_put`, which derives the operand column from the key and
-shrinkage it writes, or moved by `_move`, which moves its operand column
-with it, so the operand never goes stale. Contents are validated once, by
-the blocks passed to `append_frame`, and never again: this module builds no
-block; reads, snapshots and consolidation take raw views of the buffer; and
-`commit` stores prototypes that `potentiate` derived from stored elements.
+written by `_put`, one way for a slice and for row indices, which derives
+its operand column from the key and shrinkage it writes, or moved by
+`_move`, which moves its operand column with it, so the operand never goes
+stale. Contents are validated once, by the blocks passed to `append_frame`,
+and never again: this module builds no block; reads, snapshots and
+consolidation take raw views of the buffer; and `commit` stores prototypes
+that `potentiate` derived from stored elements.
 
 Single-writer: exactly one pipeline owns and mutates an instance.
 """
@@ -182,6 +184,7 @@ class TrackMemory:
             raise ContractError(
                 f"insertion frame {frame_idx} not after {self.inserted_at[-1]}"
             )
+        self._reserve(self.n + hw)
         self._put(slice(self.n, self.n + hw), keys.data.T, shrinkage.data, values.data.T)
         self.n += hw
         self.inserted_at.append(frame_idx)
@@ -265,18 +268,12 @@ class TrackMemory:
         return slice(first, first + (self.t_max - self.t_min) * self.hw)
 
     def _put(self, rows, keys, shrinkage, values) -> None:
-        """Write element rows, a slice or row indices, at zero usage, and derive
-        their operand columns, whose last row is the only copy of the shrinkage."""
-        self._reserve(rows.stop if isinstance(rows, slice) else rows.max(initial=-1) + 1)
+        """Write reserved element rows, a slice or row indices, at zero usage, and
+        derive their operand columns, whose last row is the only copy of the shrinkage."""
         self.keys[rows] = keys
         self.values[rows] = values
         self.usage[rows] = 0.0
-        if isinstance(rows, slice):
-            # written in place: a temporary per slice raised the lt-churn
-            # benchmark's peak RSS from 83.9 to 89.0 MB (medians of 6 pairs)
-            memory_operand(keys.T, shrinkage, out=self.operand[:, rows])
-        else:
-            self.operand[:, rows] = memory_operand(keys.T, shrinkage)
+        self.operand[:, rows] = memory_operand(keys.T, shrinkage)
 
     def _move(self, rows: slice, start: int) -> None:
         """Move a slice of element rows, operand columns with them, to the

@@ -28,6 +28,7 @@ from typing import Literal, get_args
 
 import numpy as np
 
+from . import core_types
 from .affinity import affinity, query_operand, readout, usage_mass
 from .core_types import (
     ConfigError,
@@ -252,7 +253,7 @@ class Pipeline:
             "raw_shrinkage": map_shrinkage,
             "raw_selection": map_selection,
             "values": ValueBlock if use_values else lambda _: None,
-            "sensory_input": _finite,
+            "sensory_input": lambda raw: core_types._frozen_f32(raw, "sensory input"),
         }
         ingested = []
         for obj, feats in enumerate(features):
@@ -327,10 +328,3 @@ class Pipeline:
             FrameOutput(track.object_id, feat, fused, ev)
             for track, feat, ev in zip(self.tracks, readouts, events)
         ]
-
-
-def _finite(raw) -> np.ndarray:
-    arr = np.asarray(raw, dtype=np.float32)
-    if not np.isfinite(arr).all():
-        raise ValidationError("contains non-finite entries")
-    return arr

@@ -1,4 +1,3 @@
-import concurrent.futures
 import importlib
 import threading
 import tracemalloc
@@ -555,7 +554,7 @@ def test_a_failed_block_starts_no_further_block():
     error = RuntimeError("the caller's block failed")
     pool_started, caller_waits = threading.Event(), threading.Event()
     pool_blocks = []
-    real_read, real_wait = affinity_module._read_rows, concurrent.futures.wait
+    real_read, real_wait = affinity_module._read_rows, affinity_module.wait
 
     def held(*args):
         if threading.get_ident() == caller:
@@ -571,7 +570,7 @@ def test_a_failed_block_starts_no_further_block():
         return real_wait(*args, **kwargs)
 
     with _threaded(2), mock.patch.object(affinity_module, "_read_rows", held), \
-            mock.patch.object(concurrent.futures, "wait", wait), \
+            mock.patch.object(affinity_module, "wait", wait), \
             pytest.raises(RuntimeError) as info:
         affinity(operand, rhs, 5)
     assert info.value is error

@@ -209,9 +209,9 @@ def test_unused_values_are_not_checked():
 
 
 def test_a_step_checks_each_input_once(monkeypatch):
-    # per object, every frame checks its query, shrinkage and selection, and
-    # an insertion frame its values too; storing the query as a key,
-    # consolidating and potentiating check nothing again
+    # per object, every frame checks its query, shrinkage, selection and
+    # sensory input, and an insertion frame its values too; storing the query
+    # as a key, consolidating and potentiating check nothing again
     core_types = importlib.import_module("xmem.core_types")
     real = core_types._frozen_f32
     checked = []
@@ -224,7 +224,7 @@ def test_a_step_checks_each_input_once(monkeypatch):
     cfg = _config(r=2, t_min=2, t_max=4, p=6, l_max=30)
     frames = _frames(7, objects=2, seed=9)
     p = Pipeline(cfg, next(frames))
-    assert len(checked) == 8
+    assert len(checked) == 10
     counts, consolidated = [], []
     for idx, feats in enumerate(frames, start=1):
         checked.clear()
@@ -233,7 +233,7 @@ def test_a_step_checks_each_input_once(monkeypatch):
         consolidated.append(all(out.events.consolidated for out in outputs))
     # frame 6 is an insertion that consolidates both objects
     assert consolidated == [False] * 5 + [True]
-    assert counts == [6, 8, 6, 8, 6, 8]
+    assert counts == [8, 10, 8, 10, 8, 10]
 
 
 # frame 0 seeds the memory, and its inputs are checked like any later frame's
