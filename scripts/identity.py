@@ -83,9 +83,7 @@ def replay_digests() -> dict[str, str]:
                 digest.update(out.readout.tobytes())
                 digest.update(out.fused_probabilities.tobytes())
             for track in pipeline.tracks:
-                # an older engine wraps the (c_h, h, w) state in a SensoryState;
-                # its C-order bytes are those of today's (c_h, h*w) array
-                digest.update(getattr(track.sensory, "h", track.sensory).tobytes())
+                digest.update(track.sensory.tobytes())
         for track in pipeline.tracks:
             memory, stored = track.memory, slice(0, track.memory.n)
             for block in (*memory.blocks(stored), memory.usage[stored]):

@@ -117,20 +117,18 @@ def similarity(operand: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _retained_indices(block: np.ndarray, top_k: int) -> np.ndarray:
-    """Per-row indices of the top_k largest of min(block, 0), value ties
-    toward the lower index, each row sorted ascending.
+def _candidates(block: np.ndarray, top_k: int) -> np.ndarray:
+    """Flat positions, row-major with columns ascending, of each row's
+    candidates for its top_k largest of min(block, 0).
 
     Each row's maxima over g = min(n, max(_GROUPS, top_k)) strided column
     groups (column j is in group j % g) give a bound: their top_k-th largest
     is at most the row's top_k-th largest value. The candidates are the
-    values at or above the bound, in ascending column order. A row with
-    exactly top_k candidates keeps them all; a row with more keeps its first
-    top_k candidates by (value descending, index ascending).
+    values at or above the bound, at least top_k a row.
 
-    The clamp at 0 is applied to the group maxima and to the candidates'
-    values, never to the block: the largest of clamped values is the clamped
-    largest, and x >= bound exactly when min(x, 0) >= bound for a bound <= 0.
+    The clamp at 0 is applied to the group maxima, never to the block: the
+    largest of clamped values is the clamped largest, and x >= bound exactly
+    when min(x, 0) >= bound for a bound <= 0.
     """
     b, n = block.shape
     g = min(n, max(_GROUPS, top_k))
@@ -140,8 +138,19 @@ def _retained_indices(block: np.ndarray, top_k: int) -> np.ndarray:
     np.maximum(tail, block[:, full:], out=tail)
     np.minimum(group_max, 0.0, out=group_max)
     group_max.partition(g - top_k, axis=1)
-    # flat positions of the candidates, row-major, columns ascending
-    cand = np.flatnonzero(block >= group_max[:, g - top_k, None])
+    return np.flatnonzero(block >= group_max[:, g - top_k, None])
+
+
+def _retained_indices(block: np.ndarray, top_k: int) -> np.ndarray:
+    """Per-row indices of the top_k largest of min(block, 0), value ties
+    toward the lower index, each row sorted ascending.
+
+    A row with exactly top_k `_candidates` keeps them all; a row with more
+    keeps its first top_k candidates by (value descending, index ascending),
+    their values clamped at 0 as in the bound.
+    """
+    b, n = block.shape
+    cand = _candidates(block, top_k)
     row = cand // n
     surplus = np.bincount(row, minlength=b) > top_k
     if surplus.any():

@@ -4,6 +4,7 @@ Engine flags take their defaults and choices from `PipelineConfig` and
 `FeatureDims`, which check them; `_validate` checks the other flags. Nothing
 is read past a stream's header, and nothing is written, until all pass.
 Each broken rule gets its own `error:` line, naming fields by their flags.
+The configuration is checked only once its dimensions are valid.
 
 Exit codes: 0 success; 1 runtime failure, reported on one `error:` line (a
 malformed stream with its byte offset, a missing or unwritable file with its
@@ -35,6 +36,11 @@ FIELD_FLAGS = {
     "top_k": ("--topk", "retained elements per read column"),
     "l_max": ("--lt-max", "long-term element cap"),
     "insert_offset": ("--insert-offset", "phase offset of the insertion schedule"),
+}
+# each FeatureDims and stream header field's flag; c_in is --ch's when --cin is unset
+DIM_FLAGS = {
+    "h": "--height", "w": "--width", "c_k": "--ck", "c_v": "--cv", "c_h": "--ch",
+    "c_in": "--cin", "frame_count": "--frames", "object_count": "--objects",
 }
 
 
@@ -160,8 +166,11 @@ def main(argv=None) -> int:
         if args.snapshot_out is not None:
             stream.write_lt_snapshot(args.snapshot_out, [t.memory for t in pipeline.tracks])
     except ConfigError as exc:
+        flags = {**DIM_FLAGS, **{field: flag for field, (flag, _) in FIELD_FLAGS.items()}}
+        if args.cin is None:
+            flags["c_in"] = "--ch"
         for problem in problems + list(exc.args):
-            named = re.sub(r"\w+", lambda word: FIELD_FLAGS.get(word[0], word)[0], problem)
+            named = re.sub(r"\w+", lambda word: flags.get(word[0], word[0]), problem)
             print(f"error: {named}", file=sys.stderr)
         return 2
     except (XmemError, OSError, MemoryError) as exc:

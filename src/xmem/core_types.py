@@ -86,9 +86,14 @@ class FeatureDims:
     c_h: int = 64
 
     def __post_init__(self):
-        for field in ("h", "w", "c_k", "c_v", "c_h"):
-            if getattr(self, field) < 1:
-                raise ConfigError(f"FeatureDims.{field} must be >= 1")
+        """Check every dimension; one ConfigError carries each one broken."""
+        problems = [
+            f"{field} must be >= 1, got {getattr(self, field)}"
+            for field in ("h", "w", "c_k", "c_v", "c_h")
+            if getattr(self, field) < 1
+        ]
+        if problems:
+            raise ConfigError(*problems)
 
     def hw(self) -> int:
         return self.h * self.w

@@ -102,9 +102,12 @@ class TrackMemory:
         # uninitialized: _put writes every row before it is read. Zero-filling
         # (calloc) would touch all of a buffer that malloc serves from reused
         # heap memory, so peak RSS would depend on the allocator's history
-        self.keys = np.empty((cap, dims.c_k), dtype=np.float32)
-        self.values = np.empty((cap, dims.c_v), dtype=np.float32)
-        self.usage = np.empty(cap, dtype=np.float64)
+        try:
+            self.keys = np.empty((cap, dims.c_k), dtype=np.float32)
+            self.values = np.empty((cap, dims.c_v), dtype=np.float32)
+            self.usage = np.empty(cap, dtype=np.float64)
+        except ValueError:  # a size numpy's index type cannot hold; nothing allocated
+            raise MemoryError(f"cannot allocate a store of {cap} elements") from None
         self.operand = np.empty((2 * dims.c_k + 1, 0), dtype=np.float32)
         self.inserted_at: list[int] = []
         self.lt = 0

@@ -47,10 +47,14 @@ class _Format(NamedTuple):
     fields: tuple[str, ...]
 
     def pack(self, *values: int) -> bytes:
-        """The header bytes; a field the format cannot hold raises ConfigError."""
-        for name, value in zip(self.fields, values, strict=True):
-            if not 1 <= value < 2**32:
-                raise ConfigError(f"header field {name} must lie in [1, 2^32 - 1]")
+        """The header bytes; one ConfigError names each field the format cannot hold."""
+        problems = [
+            f"header field {name} must lie in [1, 2^32 - 1], got {value}"
+            for name, value in zip(self.fields, values, strict=True)
+            if not 1 <= value < 2**32
+        ]
+        if problems:
+            raise ConfigError(*problems)
         return self.magic + struct.pack(f"<{len(self.fields) + 1}I", self.version, *values)
 
     def parse(self, f) -> tuple[int, ...]:

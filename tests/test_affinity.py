@@ -11,6 +11,9 @@ from hypothesis import strategies as st
 
 from xmem import (
     ContractError,
+    FeatureDims,
+    Pipeline,
+    PipelineConfig,
     ShapeError,
     affinity,
     memory_operand,
@@ -21,6 +24,7 @@ from xmem import (
     usage_mass,
 )
 from xmem.oracle import oracle_affinity, oracle_readout, oracle_similarity
+from xmem.stream import StreamHeader, synthetic_frames
 
 # the module, not the function of the same name that xmem exports
 affinity_module = importlib.import_module("xmem.affinity")
@@ -577,3 +581,47 @@ def test_a_failed_block_starts_no_further_block():
     assert caller_waits.is_set()
     assert len(pool_blocks) == 1
 
+
+
+# the store regimes of the candidate bound, 150 frames of an 8x8 grid with
+# one insertion a frame: a near-static unbounded store of 6400-9600 frame
+# elements when counting starts, and a full 2000-element long-term store
+# that takes 128 prototypes and evicts as many every fifth frame, as on the
+# lt-churn benchmark
+CANDIDATE_REGIMES = {
+    "frame-major": (dict(unbounded=True), 0.002),
+    "prototype-heavy": (dict(t_min=5, t_max=10, p=128, l_max=2000), 0.05),
+}
+
+
+@pytest.mark.parametrize("regime", list(CANDIDATE_REGIMES))
+def test_the_bound_keeps_about_top_k_candidates_per_row(regime):
+    # the selection stays exact however loose the bound, so only the count
+    # of candidates shows a bound gone slack. A frame's copy of a query
+    # position lies h*w columns from the last one; with 1024 column groups,
+    # which share the factor 64 with an 8x8 grid, those copies share 1/64
+    # of the groups, and the frame-major store kept a median of 143
+    # candidates a row (4.8 x top_k) where 1021 groups keep 30
+    options, drift = CANDIDATE_REGIMES[regime]
+    dims = FeatureDims(h=8, w=8, c_k=16, c_v=8, c_h=4)
+    config = PipelineConfig(dims=dims, r=1, top_k=30, sensory_input_channels=4, **options)
+    header = StreamHeader(c_k=16, c_v=8, c_in=4, h=8, w=8, frame_count=150, object_count=1)
+    real, per_row, counting = affinity_module._candidates, [], [False]
+
+    def counted(block, top_k):
+        cand = real(block, top_k)
+        if counting[0]:
+            per_row.append(np.bincount(cand // block.shape[1], minlength=block.shape[0]))
+        return cand
+
+    # a read of 64 query rows is one block, so every read is serial
+    frames = synthetic_frames(4, header, drift)
+    with mock.patch.object(affinity_module, "_candidates", counted):
+        pipeline = Pipeline(config, next(frames), seed=4)
+        for idx, features in enumerate(frames, start=1):
+            counting[0] = idx >= 100
+            pipeline.step(features, idx)
+    memory = pipeline.tracks[0].memory
+    assert memory.n == (9600 if config.unbounded else 2000 + 5 * 64)
+    median = np.median(np.concatenate(per_row))
+    assert median <= 2 * config.top_k

@@ -1,9 +1,16 @@
+import contextlib
 import csv
+import io
+import re
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xmem import FeatureDims, PipelineConfig, stream
 from xmem.cli import main
@@ -112,7 +119,9 @@ def test_bad_dimension_writes_no_stream(tmp_path, capsys, flag, value, field):
                      "--stream-out", str(stream_path), "--metrics-out", str(out)]
     )
     assert code == 2
-    assert f"{field} must be >= 1" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err == f"error: {flag} must be >= 1, got {value}\n"
+    assert f"FeatureDims.{field}" not in err
     assert not stream_path.exists()
     assert not out.exists()
 
@@ -150,6 +159,25 @@ def test_unservable_allocation_exits_one_with_one_error_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+# a store with more elements than numpy's index type holds made np.empty
+# raise ValueError, which escaped as a traceback
+@pytest.mark.parametrize(
+    "flag,value,elements",
+    [("--lt-max", 2**63 - 1, 2**63 - 1 + 640), ("--lt-max", 4 * 10**18, 4 * 10**18 + 640),
+     ("--tmax", 4 * 10**18, 4 * 10**18 * 64 + 10_000)],
+)
+def test_a_store_numpy_cannot_shape_exits_one_with_one_error_line(
+    tmp_path, capsys, flag, value, elements
+):
+    out = tmp_path / "m.csv"
+    argv = ["--synthetic", "--small", "--ck", "4", "--cv", "4", "--ch", "4", "--frames", "3",
+            flag, str(value), "--metrics-out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: cannot allocate a store of {elements} elements\n"
     assert not out.exists()
 
 
@@ -403,3 +431,231 @@ def test_an_empty_path_is_a_file_that_cannot_be_opened(tmp_path, capsys, flag):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert not out.exists()
+
+
+# the dimensions were checked one at a time, each error naming the
+# FeatureDims field: only `FeatureDims.h must be >= 1` was reported
+def test_every_broken_dimension_is_named_by_its_flag(tmp_path, capsys):
+    out = tmp_path / "m.csv"
+    argv = ["--synthetic", "--height", "0", "--width", "4", "--ck", "0", "--cv", "4",
+            "--ch", "0", "--tmin", "1", "--frames", "3", "--metrics-out", str(out)]
+    assert main(argv) == 2
+    # --tmin's rule needs valid dimensions, so it is not reported yet
+    assert capsys.readouterr().err == (
+        "error: --height must be >= 1, got 0\n"
+        "error: --ck must be >= 1, got 0\n"
+        "error: --ch must be >= 1, got 0\n"
+    )
+    assert not out.exists()
+
+
+# a stream header field was named by its field, the first one only
+@pytest.mark.parametrize(
+    "flags,named",
+    [(["--cin", "5000000000", "--objects", "5000000000"], ["--cin", "--objects"]),
+     (["--ch", "5000000000"], ["--ch"])],
+)
+def test_every_header_field_a_stream_cannot_hold_is_named_by_its_flag(
+    tmp_path, capsys, flags, named
+):
+    out, stream_path = tmp_path / "m.csv", tmp_path / "s.xmfs"
+    argv = ["--synthetic", "--small", "--ck", "4", "--cv", "4", "--ch", "4", "--frames", "3",
+            *flags, "--stream-out", str(stream_path), "--metrics-out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "".join(
+        f"error: header field {flag} must lie in [1, 2^32 - 1], got 5000000000\n"
+        for flag in named
+    )
+    assert not stream_path.exists() and not out.exists()
+
+
+# -- the CLI against the engine it drives ------------------------------------
+
+U32_OVER = 2**32 + 5  # a header field a stream cannot hold
+# stores numpy refuses to shape without allocating: more elements than an
+# index holds, or more bytes than a size holds at any c_k >= 1
+HUGE_STORES = [("l_max", 2**63 - 1), ("l_max", 4 * 10**18), ("t_max", 4 * 10**18)]
+# the stream header's fields, in its order, and their flags
+HEADER_FLAGS = {"c_k": "--ck", "c_v": "--cv", "c_in": "--cin", "h": "--height",
+                "w": "--width", "frames": "--frames", "objects": "--objects"}
+
+
+# each drawn setting's values inside its rule, and just outside it
+SETTINGS = {
+    "h": ([1, 2, 3], [0, -1]), "w": ([1, 2], [0]), "c_k": ([1, 3], [0]),
+    "c_v": ([1, 2], [0]), "c_h": ([1, 2], [0]), "c_in": ([None, 1, 2], [0]),
+    "frames": ([1, 4, 7], [0]), "objects": ([1, 2], [0]), "seed": ([0, 2], [-1]),
+    "drift": ([0.0, 0.05], [-0.01, float("nan"), float("inf")]),
+    "r": ([1, 2, 3], [0]), "t_min": ([2, 3], [1]), "t_max": ([1, 2, 3], [0, -1]),
+    "p": ([1, 3, 6], [0]), "top_k": ([1, 4, 12], [0]), "l_max": ([0, 5, 12], [-1]),
+    "insert_offset": ([0, 1, 2], [-1, 0]),  # inside, taken mod r; outside, 0 is r
+    "metrics": (["path"], [""]), "snapshot": (["path", None], [""]),
+    "stream_out": (["path", None], [""]),
+}
+
+
+@st.composite
+def _cli_runs(draw):
+    """One CLI invocation's settings on a tiny geometry: up to two settings
+    drawn just outside their rules, the rest inside them."""
+    broken = draw(st.lists(st.sampled_from(list(SETTINGS)), max_size=2, unique=True))
+    run = {name: draw(st.sampled_from(SETTINGS[name][name in broken])) for name in SETTINGS}
+    # t_max, l_max and insert_offset are drawn relative to the rule they break
+    run["t_max"] += run["t_min"]
+    run["l_max"] += run["p"]
+    if "insert_offset" in broken:
+        run["insert_offset"] = run["insert_offset"] or run["r"]
+    else:
+        run["insert_offset"] %= max(run["r"], 1)
+    run.update(
+        source=draw(st.sampled_from(["synthetic", "synthetic", "synthetic", "stream", "empty"])),
+        small=draw(st.booleans()),
+        strategy=draw(st.sampled_from(["usage", "random", "kmeans"])),
+        deep_update=draw(st.sampled_from(["rth", "every", "never"])),
+        unbounded=draw(st.booleans()),
+    )
+    if draw(st.integers(0, 4)) == 0:
+        field, value = draw(st.sampled_from(HUGE_STORES))
+        run[field] = value
+    # header fields a stream cannot hold reach only a stream that is written:
+    # anywhere else they would size real loops and allocations
+    if run["source"] == "synthetic" and run["stream_out"] == "path":
+        for field in draw(st.lists(st.sampled_from(list(HEADER_FLAGS)), max_size=2, unique=True)):
+            run[field] = U32_OVER
+    return run
+
+
+def _argv(run, paths):
+    argv = {"synthetic": ["--synthetic"], "stream": ["--input", str(paths["input"])],
+            "empty": ["--input", ""]}[run["source"]]
+    argv += ["--small"] if run["small"] else []
+    for field, flag in {**HEADER_FLAGS, "c_h": "--ch", "seed": "--seed",
+                        "drift": "--drift", "r": "--r", "t_min": "--tmin",
+                        "t_max": "--tmax", "p": "--proto-p", "top_k": "--topk",
+                        "l_max": "--lt-max", "insert_offset": "--insert-offset",
+                        "strategy": "--strategy", "deep_update": "--deep-update"}.items():
+        if run[field] is not None:
+            argv += [flag, str(run[field])]
+    argv += ["--unbounded"] if run["unbounded"] else []
+    for name, flag in (("metrics", "--metrics-out"), ("snapshot", "--snapshot-out"),
+                       ("stream_out", "--stream-out")):
+        if run[name] is not None:
+            argv += [flag, "" if run[name] == "" else str(paths[name])]
+    return argv + ["--no-timing"]
+
+
+def _expected_rules(run, header):
+    """The rules the run breaks, each as the set of flags its error line
+    names, in the order they are checked; then the header, when the run
+    reaches it."""
+    synthetic = run["source"] == "synthetic"
+    drift = run["drift"]
+    flagged = [
+        ({"--frames"}, synthetic and run["frames"] < 1),
+        ({"--objects"}, synthetic and run["objects"] < 1),
+        ({"--seed"}, run["seed"] < 0),
+        ({"--drift"}, synthetic and not (drift >= 0 and drift != float("inf"))),
+        ({"--stream-out", "--synthetic"}, run["stream_out"] is not None and not synthetic),
+    ]
+    problems = [flags for flags, broken in flagged if broken]
+    if problems and not synthetic or run["source"] == "empty":
+        return problems
+    dims = {"--height": header.h, "--width": header.w, "--ck": header.c_k,
+            "--cv": header.c_v, "--ch": run["c_h"]}
+    broken_dims = [{flag} for flag, value in dims.items() if value < 1]
+    if broken_dims:
+        return problems + broken_dims
+    t_min, t_max, r, p = run["t_min"], run["t_max"], run["r"], run["p"]
+    flagged = [
+        ({"--tmin"}, t_min < 2),
+        ({"--tmax", "--tmin"}, t_max <= t_min),
+        ({"--r"}, r < 1),
+        ({"--proto-p"}, p < 1),
+        ({"--topk"}, run["top_k"] < 1),
+        ({"--lt-max", "--proto-p"}, run["l_max"] < p),
+        ({"--insert-offset", "--r"}, not 0 <= run["insert_offset"] < r),
+        ({"--cin"}, header.c_in < 1),
+    ]
+    problems += [flags for flags, broken in flagged if broken]
+    if problems or run["stream_out"] is None:
+        return problems
+    cin_flag = "--ch" if run["c_in"] is None else "--cin"
+    return [{cin_flag if field == "c_in" else flag}
+            for field, flag in HEADER_FLAGS.items()
+            if getattr(header, {"frames": "frame_count", "objects": "object_count"}.get(
+                field, field)) >= 2**32]
+
+
+def _in_process(run, header, paths, stream_file):
+    """The outputs the engine builds for the run in-process: the metrics CSV
+    and the snapshot, or None when its store cannot be shaped."""
+    config = PipelineConfig(
+        dims=header.dims(c_h=run["c_h"]), r=run["r"], t_min=run["t_min"],
+        t_max=run["t_max"], p=run["p"], top_k=run["top_k"], l_max=run["l_max"],
+        deep_update_mode={"rth": "every_rth", "every": "every_frame", "never": "never"}[
+            run["deep_update"]],
+        prototype_strategy=run["strategy"], insert_offset=run["insert_offset"],
+        unbounded=run["unbounded"], sensory_input_channels=header.c_in,
+    )
+    if stream_file is not None:
+        frames = stream.iter_frames(stream_file)
+    else:
+        frames = synthetic_frames(run["seed"], header, run["drift"])
+    try:
+        pipeline, records = run_stream(frames, config, seed=run["seed"])
+    except MemoryError:
+        return None
+    write_metrics_csv(paths["want_metrics"], records, no_timing=True)
+    stream.write_lt_snapshot(paths["want_snapshot"], [t.memory for t in pipeline.tracks])
+    return paths["want_metrics"].read_bytes(), paths["want_snapshot"].read_bytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(_cli_runs())
+def test_the_cli_reports_each_broken_rule_or_writes_what_the_engine_builds(run):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        paths = {name: tmp / name for name in (
+            "input", "metrics", "snapshot", "stream_out", "want_metrics", "want_snapshot",
+            "want_stream")}
+        h, w = (8, 8) if run["small"] else (run["h"], run["w"])
+        header = StreamHeader(
+            c_k=run["c_k"], c_v=run["c_v"], c_in=run["c_h"] if run["c_in"] is None else run["c_in"],
+            h=h, w=w, frame_count=run["frames"], object_count=run["objects"])
+        if run["source"] == "stream":
+            # a valid stream of its own geometry: the header's fields, not the flags, count
+            header = StreamHeader(c_k=2, c_v=3, c_in=2, h=2, w=1, frame_count=5, object_count=2)
+            stream.generate_synthetic(paths["input"], 3, header, 0.05)
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = main(_argv(run, paths))
+        lines = stderr.getvalue().splitlines()
+        assert all(line.startswith("error: ") for line in lines), lines
+        outputs = {name: paths[name].exists() for name in ("metrics", "snapshot", "stream_out")}
+
+        rules = _expected_rules(run, header)
+        if rules:
+            assert code == 2, lines
+            named = [set(re.findall(r"--[a-z][a-z-]*", line)) for line in lines]
+            assert named == rules, lines
+            assert not any(outputs.values())
+            return
+        if run["source"] == "empty" or run["stream_out"] == "":
+            assert (code, len(lines)) == (1, 1), lines
+            assert not any(outputs.values())
+            return
+        if run["stream_out"] is not None:
+            stream.generate_synthetic(paths["want_stream"], run["seed"], header, run["drift"])
+            assert paths["stream_out"].read_bytes() == paths["want_stream"].read_bytes()
+        source = paths["input"] if run["source"] == "stream" else None
+        want = _in_process(run, header, paths, source)
+        if want is None or "" in (run["metrics"], run["snapshot"]):
+            assert (code, len(lines)) == (1, 1), lines
+            assert not outputs["snapshot"]
+            assert outputs["metrics"] == (want is not None and run["metrics"] == "path")
+        else:
+            assert (code, lines) == (0, [])
+        if outputs["metrics"]:
+            assert paths["metrics"].read_bytes() == want[0]
+        if outputs["snapshot"]:
+            assert paths["snapshot"].read_bytes() == want[1]
