@@ -610,6 +610,11 @@ def _in_process(run, header, paths, stream_file):
     return paths["want_metrics"].read_bytes(), paths["want_snapshot"].read_bytes()
 
 
+# the CLI's faults were each found by hand: an empty --input replayed a
+# synthetic stream, dimension errors named dataclass fields one at a time,
+# and an unshapeable store escaped as a traceback. A drawn run must name
+# each broken rule by its flags (exit 2, no output file), fail on one error
+# line (exit 1), or write what the engine builds in-process (exit 0)
 @settings(max_examples=150, deadline=None)
 @given(_cli_runs())
 def test_the_cli_reports_each_broken_rule_or_writes_what_the_engine_builds(run):
