@@ -110,22 +110,22 @@ def oracle_top_p(usage, p: int) -> list[int]:
     return sorted(order[: min(p, len(u))])
 
 
-def oracle_gru_step(h, x, w_z, b_z, w_r, b_r, w_h, b_h) -> np.ndarray:
+def oracle_gru_step(h, x, w, b) -> np.ndarray:
     """Per-position scalar GRU update of a (c_h, n) state from (c_x, n) input, float64.
 
-    Each column updates from its own input and hidden vectors alone.
-    Gate weight rows index the input channels, then the hidden channels,
-    matching the engine layout.
+    Each column updates from its own input and hidden vectors alone. w[g] and
+    b[g] are gate g (update, reset, candidate); weight rows index the input
+    channels, then the hidden channels, matching the engine layout.
     """
     h = np.asarray(h, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
     c_h = h.shape[0]
 
-    def gate(w, b, vec):
+    def gate(weight, bias, vec):
         out = []
         for o in range(c_h):
-            acc = float(b[o])
-            row = w[o]
+            acc = float(bias[o])
+            row = weight[o]
             for idx, v in enumerate(vec):
                 acc += float(row[idx]) * v
             out.append(acc)
@@ -135,10 +135,10 @@ def oracle_gru_step(h, x, w_z, b_z, w_r, b_r, w_h, b_h) -> np.ndarray:
     for j in range(h.shape[1]):
         xv = [float(v) for v in x[:, j]]
         hv = [float(v) for v in h[:, j]]
-        z = [1.0 / (1.0 + math.exp(-a)) for a in gate(w_z, b_z, xv + hv)]
-        reset = [1.0 / (1.0 + math.exp(-a)) for a in gate(w_r, b_r, xv + hv)]
+        z = [1.0 / (1.0 + math.exp(-a)) for a in gate(w[0], b[0], xv + hv)]
+        reset = [1.0 / (1.0 + math.exp(-a)) for a in gate(w[1], b[1], xv + hv)]
         h_reset = [g * v for g, v in zip(reset, hv)]
-        cand = [math.tanh(a) for a in gate(w_h, b_h, xv + h_reset)]
+        cand = [math.tanh(a) for a in gate(w[2], b[2], xv + h_reset)]
         for o in range(c_h):
             out[o, j] = (1.0 - z[o]) * hv[o] + z[o] * cand[o]
     return out

@@ -11,7 +11,7 @@ never trained here; `Pipeline` seeds its own from the pipeline seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,40 +20,31 @@ from .core_types import ShapeError, sigmoid
 
 @dataclass(frozen=True)
 class GruWeights:
-    """Per-gate linear maps over the stacked [input; hidden] channels.
+    """The three gates' linear maps over the stacked [input; hidden] channels.
 
-    Each weight has shape (c_h, c_in + c_h), input channels first; biases
-    have shape (c_h,). Both channel counts are read from w_z and b_z.
+    `w` has shape (3, c_h, c_in + c_h), input channels first, and `b` shape
+    (3, c_h); gate 0 is the update gate z, 1 the reset gate r, 2 the
+    candidate. Both channel counts are read from `w`.
     """
 
-    w_z: np.ndarray
-    b_z: np.ndarray
-    w_r: np.ndarray
-    b_r: np.ndarray
-    w_h: np.ndarray
-    b_h: np.ndarray
+    w: np.ndarray
+    b: np.ndarray
 
     def __post_init__(self):
-        names = [f.name for f in fields(self)]
-        for name in names:
-            arr = np.ascontiguousarray(getattr(self, name), dtype=np.float32)
-            object.__setattr__(self, name, arr)
-        if self.b_z.ndim != 1 or self.w_z.ndim != 2:
-            raise ShapeError(f"w_z {self.w_z.shape} must be 2-D and b_z {self.b_z.shape} 1-D")
-        c_h, cols = self.hidden_channels, self.w_z.shape[1]
-        for name in names:
-            want = (c_h, cols) if name[0] == "w" else (c_h,)
-            got = getattr(self, name).shape
-            if got != want:
-                raise ShapeError(f"{name} has shape {got}, want {want}")
+        object.__setattr__(self, "w", np.ascontiguousarray(self.w, dtype=np.float32))
+        object.__setattr__(self, "b", np.ascontiguousarray(self.b, dtype=np.float32))
+        if self.w.ndim != 3 or self.w.shape[0] != 3 or self.b.shape != self.w.shape[:2]:
+            raise ShapeError(
+                f"w {self.w.shape} must be (3, c_h, c_in + c_h) and b {self.b.shape} (3, c_h)"
+            )
 
     @property
     def input_channels(self) -> int:
-        return self.w_z.shape[1] - self.hidden_channels
+        return self.w.shape[2] - self.hidden_channels
 
     @property
     def hidden_channels(self) -> int:
-        return self.b_z.shape[0]
+        return self.w.shape[1]
 
     @classmethod
     def seeded(
@@ -61,20 +52,17 @@ class GruWeights:
         input_channels: int,
         hidden_channels: int,
         seed: int | np.random.SeedSequence = 0,
-        scale: float | None = None,
     ) -> "GruWeights":
-        """Uniform(-s, s) weights with s = 1/sqrt(fan_in) unless overridden."""
+        """Uniform(-s, s) weights, s = 1/sqrt(fan_in), drawn gate by gate, weight first."""
         rng = np.random.default_rng(seed)
         cols = input_channels + hidden_channels
-        s = scale if scale is not None else 1.0 / np.sqrt(cols)
-
-        def w():
-            return rng.uniform(-s, s, size=(hidden_channels, cols)).astype(np.float32)
-
-        def b():
-            return rng.uniform(-s, s, size=hidden_channels).astype(np.float32)
-
-        return cls(w(), b(), w(), b(), w(), b())
+        s = 1.0 / np.sqrt(cols)
+        w = np.empty((3, hidden_channels, cols), dtype=np.float32)
+        b = np.empty((3, hidden_channels), dtype=np.float32)
+        for gate in range(3):
+            w[gate] = rng.uniform(-s, s, size=w.shape[1:])
+            b[gate] = rng.uniform(-s, s, size=hidden_channels)
+        return cls(w, b)
 
 
 def gru_step(h: np.ndarray, x: np.ndarray, weights: GruWeights) -> np.ndarray:
@@ -98,21 +86,14 @@ def gru_step(h: np.ndarray, x: np.ndarray, weights: GruWeights) -> np.ndarray:
             f"state has {h.shape[0]} channels, weights expect {weights.hidden_channels}"
         )
     xh = np.concatenate([x, h])
-    z = sigmoid(weights.w_z @ xh + weights.b_z[:, None])
-    r = sigmoid(weights.w_r @ xh + weights.b_r[:, None])
+    z = sigmoid(weights.w[0] @ xh + weights.b[0][:, None])
+    r = sigmoid(weights.w[1] @ xh + weights.b[1][:, None])
     x_reset = np.concatenate([x, r * h])
-    cand = np.tanh(weights.w_h @ x_reset + weights.b_h[:, None])
+    cand = np.tanh(weights.w[2] @ x_reset + weights.b[2][:, None])
     new = (1.0 - z) * h + z * cand
     new.setflags(write=False)
     return new
 
 
-def deep_update(
-    h: np.ndarray, value_features: np.ndarray, deep_weights: GruWeights
-) -> np.ndarray:
-    """Refresh the state from (c_v, n) value-side features with independent weights.
-
-    Same gate equations as gru_step; fired only on frames that also insert
-    into the working memory (or per the configured schedule).
-    """
-    return gru_step(h, value_features, deep_weights)
+# the deep update is the same cell, run with its own weights on value features
+deep_update = gru_step

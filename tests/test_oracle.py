@@ -62,9 +62,9 @@ def test_gru_zero_weights_halves_state():
     c_h, c_x = 2, 3
     h = np.full((c_h, 2, 2), 0.6).reshape(c_h, 4)
     x = np.zeros((c_x, 2, 2)).reshape(c_x, 4)
-    zeros_w = np.zeros((c_h, c_x + c_h))
-    zeros_b = np.zeros(c_h)
-    out = oracle_gru_step(h, x, zeros_w, zeros_b, zeros_w, zeros_b, zeros_w, zeros_b)
+    zeros_w = np.zeros((3, c_h, c_x + c_h))
+    zeros_b = np.zeros((3, c_h))
+    out = oracle_gru_step(h, x, zeros_w, zeros_b)
     npt.assert_allclose(out, 0.5 * h, atol=1e-12)
 
 

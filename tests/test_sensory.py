@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -13,8 +11,8 @@ GRID = (C_H, 5, 6)
 N = 5 * 6
 
 
-def _weights(seed=0, scale=None):
-    return GruWeights.seeded(C_X, C_H, seed=seed, scale=scale)
+def _weights(seed=0):
+    return GruWeights.seeded(C_X, C_H, seed=seed)
 
 
 def _state(rng):
@@ -29,9 +27,9 @@ def test_closed_update_gate_is_identity():
     rng = np.random.default_rng(50)
     w = _weights()
     # a hugely negative update-gate bias pins z to 0
-    closed = GruWeights(
-        w.w_z, np.full(C_H, -1e9, dtype=np.float32), w.w_r, w.b_r, w.w_h, w.b_h
-    )
+    b = w.b.copy()
+    b[0] = -1e9
+    closed = GruWeights(w.w, b)
     state = _state(rng)
     x = _input(rng)
     out = gru_step(state, x, closed)
@@ -39,9 +37,9 @@ def test_closed_update_gate_is_identity():
 
 
 def test_zero_weights_halve_the_state():
-    zeros_w = np.zeros((C_H, C_X + C_H), dtype=np.float32)
-    zeros_b = np.zeros(C_H, dtype=np.float32)
-    w = GruWeights(zeros_w, zeros_b, zeros_w, zeros_b, zeros_w, zeros_b)
+    w = GruWeights(
+        np.zeros((3, C_H, C_X + C_H), dtype=np.float32), np.zeros((3, C_H), dtype=np.float32)
+    )
     rng = np.random.default_rng(51)
     state = _state(rng)
     out = gru_step(state, np.zeros((C_X, N), dtype=np.float32), w)
@@ -54,7 +52,7 @@ def test_matches_scalar_oracle():
     state = _state(rng)
     x = _input(rng)
     out = gru_step(state, x, w)
-    ref = oracle_gru_step(state, x, w.w_z, w.b_z, w.w_r, w.b_r, w.w_h, w.b_h)
+    ref = oracle_gru_step(state, x, w.w, w.b)
     npt.assert_allclose(out, ref, atol=1e-5)
 
 
@@ -64,7 +62,7 @@ def test_deep_update_matches_scalar_oracle():
     state = _state(rng)
     x = _input(rng, 7)
     out = deep_update(state, x, w)
-    ref = oracle_gru_step(state, x, w.w_z, w.b_z, w.w_r, w.b_r, w.w_h, w.b_h)
+    ref = oracle_gru_step(state, x, w.w, w.b)
     npt.assert_allclose(out, ref, atol=1e-5)
 
 
@@ -91,12 +89,11 @@ def test_same_seed_gives_bitwise_identical_trajectories():
 
 
 def test_zero_input_zero_bias_state_decays():
-    w = GruWeights.seeded(C_X, C_H, seed=6, scale=0.2)
-    w = GruWeights(
-        w.w_z, np.zeros(C_H, dtype=np.float32),
-        w.w_r, np.zeros(C_H, dtype=np.float32),
-        w.w_h, np.zeros(C_H, dtype=np.float32),
-    )
+    # +-0.2 weights drawn gate by gate, each gate's bias after its weight,
+    # as `seeded` draws them; the biases are then zeroed
+    rng = np.random.default_rng(6)
+    draws = [rng.uniform(-0.2, 0.2, size) for _ in range(3) for size in ((C_H, C_X + C_H), C_H)]
+    w = GruWeights(np.stack(draws[::2]), np.zeros((3, C_H), dtype=np.float32))
     rng = np.random.default_rng(56)
     state = _state(rng)
     x = np.zeros((C_X, N), dtype=np.float32)
@@ -123,13 +120,16 @@ def test_shape_mismatches_raise():
 def test_channel_counts_come_from_the_arrays():
     w = GruWeights.seeded(7, C_H, seed=10)
     assert (w.input_channels, w.hidden_channels) == (7, C_H)
-    assert w.w_h.shape == (C_H, 7 + C_H)
+    assert w.w.shape == (3, C_H, 7 + C_H)
 
 
-@pytest.mark.parametrize("name", ["w_z", "b_z", "w_r", "b_r", "w_h", "b_h"])
-def test_weight_shape_mismatch_raises(name):
-    w = _weights()
-    arrays = dataclasses.asdict(w)
-    arrays[name] = arrays[name][..., :-1]
+_W, _B = _weights().w, _weights().b
+
+
+@pytest.mark.parametrize("w,b", [
+    (_W[0], _B[0]), (_W[:2], _B[:2]), (_W[..., None], _B),
+    (_W, _B[:, :-1]), (_W, _B[:2]), (_W, _B.ravel()),
+], ids=["w-2d", "two-gates", "w-4d", "b-short", "b-two-gates", "b-1d"])
+def test_weight_shape_mismatch_raises(w, b):
     with pytest.raises(ShapeError):
-        GruWeights(**arrays)
+        GruWeights(w, b)
