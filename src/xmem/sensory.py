@@ -57,8 +57,13 @@ class GruWeights:
         rng = np.random.default_rng(seed)
         cols = input_channels + hidden_channels
         s = 1.0 / np.sqrt(cols)
-        w = np.empty((3, hidden_channels, cols), dtype=np.float32)
-        b = np.empty((3, hidden_channels), dtype=np.float32)
+        try:
+            w = np.empty((3, hidden_channels, cols), dtype=np.float32)
+            b = np.empty((3, hidden_channels), dtype=np.float32)
+        except ValueError:  # a size numpy's index type cannot hold; nothing allocated
+            raise MemoryError(
+                f"cannot allocate a sensory cell of 3 x {hidden_channels} x {cols} weights"
+            ) from None
         for gate in range(3):
             w[gate] = rng.uniform(-s, s, size=w.shape[1:])
             b[gate] = rng.uniform(-s, s, size=hidden_channels)

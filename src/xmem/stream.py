@@ -202,10 +202,15 @@ def synthetic_frames(
         raise ValueError(f"drift must be finite and >= 0, got {drift}")
     rng = np.random.default_rng(seed)
     step = np.float32(drift)
-    states = [
-        [rng.standard_normal(shape, dtype=np.float32) for shape in header.shapes().values()]
-        for _ in range(header.object_count)
-    ]
+    try:
+        states = [
+            [rng.standard_normal(shape, dtype=np.float32) for shape in header.shapes().values()]
+            for _ in range(header.object_count)
+        ]
+    except ValueError:  # a size numpy's index type cannot hold; nothing allocated
+        raise MemoryError(
+            f"cannot allocate a synthetic frame of {header.h} x {header.w} positions"
+        ) from None
     for frame in range(header.frame_count):
         if frame > 0 and step > 0:
             for state in states:
