@@ -1,4 +1,5 @@
 import importlib
+import multiprocessing
 import threading
 import tracemalloc
 from unittest import mock
@@ -327,6 +328,11 @@ def test_affinity_empty_memory_rejected():
         affinity(np.zeros((3, 0), dtype=np.float32), np.zeros((2, 3), dtype=np.float32), 2)
 
 
+def test_affinity_rejects_top_k_below_one():
+    with pytest.raises(ValueError, match="top_k must be >= 1, got 0"):
+        _read(np.zeros((2, 3), dtype=np.float32), top_k=0)
+
+
 def test_affinity_underflow_guarded():
     # large-magnitude negatives would underflow a naive softmax
     _, weights = _read(np.array([[-1e30, -1e30]], dtype=np.float32), top_k=2)
@@ -580,6 +586,29 @@ def test_a_failed_block_starts_no_further_block():
     assert info.value is error
     assert caller_waits.is_set()
     assert len(pool_blocks) == 1
+
+
+def test_a_forked_child_reads_on_a_pool_of_its_own():
+    # a forked child inherits the pool object but none of its threads, so
+    # blocks it submitted there would never run and its read would wait forever
+    rng = np.random.default_rng(24)
+    operand, rhs = _operands(*_random_instance(rng, c_k=3, n=20, hw=20))
+    context = multiprocessing.get_context("fork")
+    reader, writer = context.Pipe(duplex=False)
+
+    def read():
+        return b"".join(part.tobytes() for part in affinity(operand, rhs, 5))
+
+    with _threaded(2):
+        want = read()  # 5 blocks on 2 workers: the pool has a thread
+        child = context.Process(target=lambda: writer.send(read()))
+        child.start()
+        child.join(timeout=10)
+        if child.is_alive():
+            child.kill()
+            child.join()
+    assert child.exitcode == 0, "the child's read hung or failed"
+    assert reader.poll() and reader.recv() == want
 
 
 

@@ -226,6 +226,14 @@ def test_potentiate_rejects_duplicate_indices():
         _potentiate(keys, shrink, values, [1, 1], top_k=4)
 
 
+@pytest.mark.parametrize("indices", [[5], [0, -1]])
+def test_potentiate_rejects_an_index_out_of_range(indices):
+    rng = np.random.default_rng(38)
+    keys, shrink, values = _candidates(rng, 5)
+    with pytest.raises(ValueError, match="prototype index out of range"):
+        _potentiate(keys, shrink, values, indices, top_k=4)
+
+
 # -- commit / eviction ---------------------------------------------------------
 #
 # The long-term segment of a TrackMemory is filled by consolidating one

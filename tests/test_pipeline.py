@@ -137,6 +137,16 @@ def test_frame_idx_must_increase():
         p.step(next(frames), 1)
 
 
+@pytest.mark.parametrize("count", [1, 3])
+def test_step_needs_one_feature_set_per_object(count):
+    frames = _frames(2, objects=2)
+    p = Pipeline(_config(), next(frames))
+    feats = next(frames)
+    with pytest.raises(ContractError, match=f"^{count} feature sets for 2 objects"):
+        p.step((feats * 2)[:count], 1)
+    assert p.last_frame_idx == 0
+
+
 def _state(p):
     """Everything a rejected frame must leave untouched, as bytes."""
     tracks = []
@@ -253,6 +263,11 @@ def test_first_frame_is_checked(case):
     first[1] = dataclasses.replace(first[1], **{field: corrupt(getattr(first[1], field))})
     with pytest.raises(error, match=f"^object 1: {field}"):
         Pipeline(_config(), first)
+
+
+def test_a_stream_of_no_frames_is_refused():
+    with pytest.raises(ValueError, match="stream has no frames"):
+        run_stream(iter([]), _config())
 
 
 def test_event_log_matches_bookkeeping_oracle():
@@ -476,6 +491,11 @@ def test_soft_aggregate_columns_sum_to_one(seed, objects, hw):
     assert out.min() >= 0.0
 
 
+def test_soft_aggregate_rejects_a_1d_array():
+    with pytest.raises(ValueError, match="expected \\(objects, hw\\)"):
+        soft_aggregate(np.array([0.5, 0.7], dtype=np.float32))
+
+
 def test_soft_aggregate_preserves_object_argmax():
     rng = np.random.default_rng(61)
     probs = rng.uniform(0.01, 0.99, (5, 200)).astype(np.float32)
@@ -519,6 +539,8 @@ def test_config_rejects_bad_bounds():
         _config(insert_offset=7, r=5)
     with pytest.raises(ConfigError):
         _config(deep_update_mode="sometimes")
+    with pytest.raises(ConfigError, match="prototype_strategy"):
+        _config(prototype_strategy="median")
 
 
 # -- threaded read -------------------------------------------------------------

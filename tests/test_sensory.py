@@ -115,6 +115,9 @@ def test_shape_mismatches_raise():
     short = rng.normal(size=(C_X, 4, 6)).astype(np.float32).reshape(C_X, 4 * 6)
     with pytest.raises(ShapeError):
         gru_step(state, short, w)
+    # a state with one channel fewer than the weights have
+    with pytest.raises(ShapeError, match="state has 3 channels"):
+        gru_step(state[1:], _input(rng), w)
 
 
 def test_channel_counts_come_from_the_arrays():

@@ -169,7 +169,10 @@ _FIVE = dataclasses.replace(HEADER, frame_count=5)
     (_FIVE, lambda: synthetic_frames(2, dataclasses.replace(_FIVE, frame_count=6), 0.1),
      ValueError),
     (dataclasses.replace(_FIVE, c_k=2), lambda: synthetic_frames(2, _FIVE, 0.1), ShapeError),
-], ids=["generator-raises", "too-few-frames", "too-many-frames", "wrong-block-shape"])
+    (_FIVE, lambda: synthetic_frames(2, dataclasses.replace(_FIVE, object_count=3), 0.1),
+     ValueError),
+], ids=["generator-raises", "too-few-frames", "too-many-frames", "wrong-block-shape",
+        "wrong-object-count"])
 def test_a_stream_that_cannot_be_written_whole_leaves_no_file(tmp_path, header, frames, error):
     path = tmp_path / "s.xmfs"
     with pytest.raises(error):

@@ -71,6 +71,27 @@ def test_append_at_cap_rejected():
         memory.append_frame(*_frame(99), frame_idx=1000)
 
 
+# a frame replaced in one block, or at a frame index not after the last
+# insertion (10)
+BAD_APPENDS = {
+    "keys": (0, KeyBlock(np.zeros((DIMS.c_k + 1, DIMS.hw()), np.float32)), 20, ShapeError),
+    "values": (2, ValueBlock(np.zeros((DIMS.c_v, DIMS.hw() - 1), np.float32)), 20, ShapeError),
+    "shrinkage": (1, ShrinkageVector(np.ones(DIMS.hw() + 1, np.float32)), 20, ShapeError),
+    "frame order": (0, _frame(9)[0], 10, ContractError),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_APPENDS))
+def test_append_rejects_a_bad_frame_and_changes_nothing(case):
+    block, bad, frame_idx, error = BAD_APPENDS[case]
+    memory = _filled(2, 4, 2)
+    frame = list(_frame(9))
+    frame[block] = bad
+    with pytest.raises(error):
+        memory.append_frame(*frame, frame_idx=frame_idx)
+    assert (memory.n, memory.inserted_at) == (2 * DIMS.hw(), [0, 10])
+
+
 def test_uncapped_store_grows_freely():
     # an unbounded store outgrows its initial t_max*hw + l_max columns by
     # doubling and keeps every column and usage value
@@ -237,6 +258,12 @@ def test_normalized_usage_clamps_fresh_frames():
     npt.assert_array_equal(out, 0.0)
 
 
+def test_normalized_usage_refuses_a_frame_before_the_last_insertion():
+    memory = _filled(2, 4, 2)
+    with pytest.raises(ContractError, match="current frame 9 precedes insertion 10"):
+        memory.normalized_usage(current_frame_idx=9)
+
+
 def test_normalized_usage_inverse_proportional_to_duration():
     memory = _filled(2, 4, 2)
     memory.add_usage(np.ones(memory.n))
@@ -278,6 +305,16 @@ def test_split_bundle_matches_candidate_columns():
     npt.assert_array_equal(values[:, hw:], _frame(2)[2].data)
     npt.assert_array_equal(shrinkage[:hw], _frame(1)[1].data)
     npt.assert_array_equal(usage, memory.normalized_usage(3)[hw : 3 * hw])
+
+
+@pytest.mark.parametrize("counts", [(2, 3, 2), (2, 2, 3)])
+def test_commit_refuses_prototype_counts_that_differ(counts):
+    memory = _filled(2, 4, 4)
+    keys, shrinkage, values, _, _ = memory.candidates(40)
+    k, s, v = counts
+    with pytest.raises(ShapeError, match="prototype key/shrinkage/value counts differ"):
+        memory.commit(keys[:, :k], shrinkage[:s], values[:, :v])
+    assert (memory.n, memory.lt, memory.frame_count) == (4 * DIMS.hw(), 0, 4)
 
 
 def test_split_below_cap_rejected():
