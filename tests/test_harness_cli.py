@@ -151,20 +151,33 @@ def test_file_error_exits_one_with_one_error_line(tmp_path, capsys, argv):
 # a store of 1e17 long-term elements asks for 1.39 EiB of keys, more than
 # any 64-bit address space holds, so the allocation fails at once; it
 # escaped as a numpy MemoryError traceback
-# a sensory cell or a synthetic frame numpy could not shape made it raise
-# ValueError, which escaped as a traceback
-@pytest.mark.parametrize("argv", [
-    ["--small", "--ch", "4", "--frames", "3", "--lt-max", "100000000000000000"],
-    ["--small", "--cin", "1", "--ch", "3000000000", "--frames", "2"],
-    ["--height", "3000000000", "--width", "3000000000", "--ch", "4", "--frames", "2"],
-], ids=["store", "sensory-cell", "synthetic-frame"])
-def test_unservable_allocation_exits_one_with_one_error_line(tmp_path, capsys, argv):
+def test_unservable_allocation_exits_one_with_one_error_line(tmp_path, capsys):
     out = tmp_path / "m.csv"
-    argv = ["--synthetic", "--ck", "4", "--cv", "4", *argv, "--metrics-out", str(out)]
+    argv = ["--synthetic", "--small", "--ck", "4", "--cv", "4", "--ch", "4", "--frames", "3",
+            "--lt-max", "100000000000000000", "--metrics-out", str(out)]
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+# a sensory cell or a synthetic frame numpy could not shape made it raise
+# ValueError, which escaped as a traceback
+@pytest.mark.parametrize("argv,message", [
+    (["--small", "--cin", "1", "--ch", "3000000000"],
+     "a sensory cell of 3 x 3000000000 x 3000000001 weights"),
+    (["--height", "3000000000", "--width", "3000000000", "--ch", "4"],
+     "a synthetic frame of 3000000000 x 3000000000 positions"),
+], ids=["sensory-cell", "synthetic-frame"])
+def test_a_cell_or_frame_numpy_cannot_shape_exits_one_with_one_error_line(
+    tmp_path, capsys, argv, message
+):
+    out = tmp_path / "m.csv"
+    argv = ["--synthetic", "--ck", "4", "--cv", "4", *argv, "--frames", "2",
+            "--metrics-out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: cannot allocate {message}\n"
     assert not out.exists()
 
 
