@@ -74,20 +74,23 @@ def test_append_at_cap_rejected():
 # a frame replaced in one block, or at a frame index not after the last
 # insertion (10)
 BAD_APPENDS = {
-    "keys": (0, KeyBlock(np.zeros((DIMS.c_k + 1, DIMS.hw()), np.float32)), 20, ShapeError),
-    "values": (2, ValueBlock(np.zeros((DIMS.c_v, DIMS.hw() - 1), np.float32)), 20, ShapeError),
-    "shrinkage": (1, ShrinkageVector(np.ones(DIMS.hw() + 1, np.float32)), 20, ShapeError),
-    "frame order": (0, _frame(9)[0], 10, ContractError),
+    "keys": (0, KeyBlock(np.zeros((DIMS.c_k + 1, DIMS.hw()), np.float32)), 20,
+             ShapeError, "frame keys"),
+    "values": (2, ValueBlock(np.zeros((DIMS.c_v, DIMS.hw() - 1), np.float32)), 20,
+               ShapeError, "frame values"),
+    "shrinkage": (1, ShrinkageVector(np.ones(DIMS.hw() + 1, np.float32)), 20,
+                  ShapeError, "frame shrinkage"),
+    "frame order": (0, _frame(9)[0], 10, ContractError, "insertion frame 10 not after 10"),
 }
 
 
 @pytest.mark.parametrize("case", list(BAD_APPENDS))
 def test_append_rejects_a_bad_frame_and_changes_nothing(case):
-    block, bad, frame_idx, error = BAD_APPENDS[case]
+    block, bad, frame_idx, error, message = BAD_APPENDS[case]
     memory = _filled(2, 4, 2)
     frame = list(_frame(9))
     frame[block] = bad
-    with pytest.raises(error):
+    with pytest.raises(error, match=message):
         memory.append_frame(*frame, frame_idx=frame_idx)
     assert (memory.n, memory.inserted_at) == (2 * DIMS.hw(), [0, 10])
 
