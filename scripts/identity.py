@@ -64,16 +64,15 @@ def replay_digests() -> dict[str, str]:
     """One hex digest per in-process replay of the engine on the import path."""
     import numpy as np
 
-    from xmem import FeatureDims, Pipeline, PipelineConfig
+    from xmem import Pipeline, PipelineConfig
     from xmem.stream import StreamHeader, synthetic_frames
 
     digests = {}
     for h, w, unbounded in ((8, 8, False), (12, 24, False), (8, 8, True)):
         header = StreamHeader(c_k=64, c_v=32, c_in=8, h=h, w=w, frame_count=40, object_count=2)
         config = PipelineConfig(
-            dims=FeatureDims(h=h, w=w, c_k=64, c_v=32, c_h=8), r=2, t_min=2, t_max=4,
-            p=3 * h * w // 4, l_max=2 * h * w, top_k=20, sensory_input_channels=8,
-            unbounded=unbounded,
+            dims=header.dims(c_h=8), r=2, t_min=2, t_max=4, p=3 * h * w // 4,
+            l_max=2 * h * w, top_k=20, unbounded=unbounded,
         )
         frames = synthetic_frames(7, header, 0.1)
         pipeline = Pipeline(config, next(frames), seed=7)

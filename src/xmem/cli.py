@@ -28,7 +28,6 @@ from .pipeline import PipelineConfig, PrototypeStrategy
 DEEP_UPDATE_FLAGS = {"rth": "every_rth", "every": "every_frame", "never": "never"}
 # each PipelineConfig field's integer flag and help; error lines name it by its flag
 FIELD_FLAGS = {
-    "sensory_input_channels": ("--cin", "sensory input channels (None: --ch)"),
     "r": ("--r", "insertion period in frames"),
     "t_min": ("--tmin", "frames kept after consolidation"),
     "t_max": ("--tmax", "frame cap triggering consolidation"),
@@ -69,6 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--ck", type=int, default=defaults.dims.c_k, help="key/query channels")
     parser.add_argument("--cv", type=int, default=defaults.dims.c_v, help="value channels")
     parser.add_argument("--ch", type=int, default=defaults.dims.c_h, help="sensory state channels")
+    parser.add_argument("--cin", type=int, default=None, help="sensory input channels (None: --ch)")
     parser.add_argument(
         "--small", action="store_true",
         help="8x8 spatial preset for quick runs (overrides --height/--width)",
@@ -132,14 +132,15 @@ def main(argv=None) -> int:
             raise ConfigError()
         if args.input is not None:
             header = stream.read_header(args.input)
+            dims = header.dims(c_h=args.ch)
         else:
+            dims = FeatureDims(height, width, args.ck, args.cv, args.ch, args.cin)
             header = stream.StreamHeader(
-                c_k=args.ck, c_v=args.cv, c_in=args.ch if args.cin is None else args.cin,
-                h=height, w=width,
+                c_k=dims.c_k, c_v=dims.c_v, c_in=dims.c_in, h=height, w=width,
                 frame_count=args.frames, object_count=args.objects,
             )
         config = PipelineConfig(
-            dims=header.dims(c_h=args.ch),
+            dims=dims,
             r=args.r,
             t_min=args.tmin,
             t_max=args.tmax,
@@ -150,7 +151,6 @@ def main(argv=None) -> int:
             prototype_strategy=args.strategy,
             insert_offset=args.insert_offset,
             unbounded=args.unbounded,
-            sensory_input_channels=header.c_in,
         )
         if problems:
             raise ConfigError()

@@ -75,8 +75,9 @@ class FeatureDims:
     """Channel and spatial dimensions shared by all stores.
 
     h and w are the feature-grid rows/cols; each frame contributes h*w
-    memory elements. Channel defaults follow the full-scale configuration;
-    the harness typically runs much smaller.
+    memory elements. Channel defaults follow the full-scale configuration.
+    c_in, the sensory input's channels, is c_h when None, resolved at
+    construction: `dataclasses.replace(dims, c_h=...)` keeps the old c_in.
     """
 
     h: int
@@ -84,16 +85,19 @@ class FeatureDims:
     c_k: int = 64
     c_v: int = 512
     c_h: int = 64
+    c_in: int | None = None
 
     def __post_init__(self):
-        """Check every dimension; one ConfigError carries each one broken."""
+        """Check every dimension given; one ConfigError carries each one broken."""
         problems = [
-            f"{field} must be >= 1, got {getattr(self, field)}"
-            for field in ("h", "w", "c_k", "c_v", "c_h")
-            if getattr(self, field) < 1
+            f"{field} must be >= 1, got {value}"
+            for field, value in vars(self).items()
+            if value is not None and value < 1
         ]
         if problems:
             raise ConfigError(*problems)
+        if self.c_in is None:
+            object.__setattr__(self, "c_in", self.c_h)
 
     def hw(self) -> int:
         return self.h * self.w

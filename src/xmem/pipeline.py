@@ -71,7 +71,6 @@ class PipelineConfig:
     prototype_strategy: PrototypeStrategy = "usage"
     insert_offset: int = 0
     unbounded: bool = False
-    sensory_input_channels: int | None = None
 
     def __post_init__(self):
         """Check every rule; one ConfigError carries each rule broken."""
@@ -90,16 +89,8 @@ class PipelineConfig:
             problems.append(f"unknown deep_update_mode {self.deep_update_mode!r}")
         if self.prototype_strategy not in get_args(PrototypeStrategy):
             problems.append(f"unknown prototype_strategy {self.prototype_strategy!r}")
-        channels = self.sensory_input_channels
-        if channels is not None and channels < 1:
-            problems.append(f"sensory_input_channels must be >= 1, got {channels}")
         if problems:
             raise ConfigError(*problems)
-
-    @property
-    def sensory_channels(self) -> int:
-        channels = self.sensory_input_channels
-        return self.dims.c_h if channels is None else channels
 
 
 @dataclass(frozen=True)
@@ -197,7 +188,7 @@ class Pipeline:
 
         ss = np.random.SeedSequence(seed)
         gru_seq, deep_seq, probe_seq = ss.spawn(3)
-        self.gru_weights = GruWeights.seeded(config.sensory_channels, dims.c_h, seed=gru_seq)
+        self.gru_weights = GruWeights.seeded(dims.c_in, dims.c_h, seed=gru_seq)
         self.deep_weights = GruWeights.seeded(dims.c_v, dims.c_h, seed=deep_seq)
         # stand-in for mask decoding: a fixed linear probe from the readout
         # to one foreground logit per position
@@ -244,9 +235,8 @@ class Pipeline:
         object, in field order, the query, shrinkage, selection, values (None
         when unused) and sensory input.
         """
-        cfg = self.config
-        dims = cfg.dims
-        shapes = ObjectFeatures.shapes(dims.c_k, dims.c_v, cfg.sensory_channels, dims.hw())
+        dims = self.config.dims
+        shapes = ObjectFeatures.shapes(dims.c_k, dims.c_v, dims.c_in, dims.hw())
         # by field name; a mapper raises ValidationError on bad entries
         mappers = {
             "raw_query": KeyBlock,

@@ -110,7 +110,7 @@ class StreamHeader:
         return 4 * sum(math.prod(shape) for shape in self.shapes().values())
 
     def dims(self, c_h: int) -> FeatureDims:
-        return FeatureDims(h=self.h, w=self.w, c_k=self.c_k, c_v=self.c_v, c_h=c_h)
+        return FeatureDims(h=self.h, w=self.w, c_k=self.c_k, c_v=self.c_v, c_h=c_h, c_in=self.c_in)
 
     def pack(self) -> bytes:
         return _STREAM.pack(*astuple(self))

@@ -44,8 +44,8 @@ def _frames(n_frames, seed, *, h=8, w=8, c_k=8, c_v=16, c_in=4, objects=1, drift
     return synthetic_frames(seed, header, drift)
 
 
-def _small_dims(h=8, w=8, c_k=8, c_v=16, c_h=4):
-    return FeatureDims(h=h, w=w, c_k=c_k, c_v=c_v, c_h=c_h)
+def _small_dims(h=8, w=8, c_k=8, c_v=16, c_h=4, c_in=None):
+    return FeatureDims(h=h, w=w, c_k=c_k, c_v=c_v, c_h=c_h, c_in=c_in)
 
 
 def test_criterion_01_vectorized_similarity_matches_triple_loop():
@@ -94,10 +94,9 @@ def test_criterion_02_unit_terms_reduce_to_squared_distance():
 
 
 def test_criterion_03_compression_ratio_at_full_geometry():
-    dims = FeatureDims(h=30, w=54, c_k=4, c_v=4, c_h=2)
+    dims = FeatureDims(h=30, w=54, c_k=4, c_v=4, c_h=2, c_in=2)
     cfg = PipelineConfig(
         dims=dims, r=1, t_min=5, t_max=10, p=128, top_k=30, l_max=10_000,
-        sensory_input_channels=2,
     )
     frames = _frames(11, seed=103, h=30, w=54, c_k=4, c_v=4, c_in=2)
     pipeline = Pipeline(cfg, next(frames))
@@ -124,8 +123,8 @@ def test_criterion_03_compression_ratio_at_full_geometry():
 
 def test_criterion_04_memory_bound_over_long_run():
     cfg = PipelineConfig(
-        dims=_small_dims(), r=10, t_min=5, t_max=10, p=128, top_k=30,
-        l_max=10_000, sensory_input_channels=4,
+        dims=_small_dims(c_in=4), r=10, t_min=5, t_max=10, p=128, top_k=30,
+        l_max=10_000,
     )
     start = time.perf_counter()
     _, rows = run_stream(_frames(5000, seed=104), cfg, seed=104)
@@ -173,11 +172,8 @@ def test_criterion_05_bounded_read_latency_plateaus():
     hw = 64
     # channel dims sized so per-element work dominates fixed per-read cost;
     # near-static features keep the numeric regime constant across the window
-    dims = _small_dims(c_k=16, c_v=32)
-    shared = dict(
-        r=5, t_min=5, t_max=10, p=128, top_k=30, l_max=1000,
-        sensory_input_channels=4,
-    )
+    dims = _small_dims(c_k=16, c_v=32, c_in=4)
+    shared = dict(r=5, t_min=5, t_max=10, p=128, top_k=30, l_max=1000)
     stream_args = dict(c_k=16, c_v=32, drift=0.002)
     with _gc_quiesced():
         _, bounded_rows = run_stream(
@@ -212,8 +208,8 @@ def test_criterion_06_latency_grows_with_long_term_cap():
     def sweep(cap, frames):
         # channel dims sized so the scan over n dominates fixed per-read cost
         cfg = PipelineConfig(
-            dims=_small_dims(c_k=16, c_v=64), r=1, t_min=5, t_max=10, p=128,
-            top_k=30, l_max=cap, sensory_input_channels=4,
+            dims=_small_dims(c_k=16, c_v=64, c_in=4), r=1, t_min=5, t_max=10, p=128,
+            top_k=30, l_max=cap,
         )
         _, rows = run_stream(
             _frames(frames, seed=106, c_k=16, c_v=64), cfg, seed=106
@@ -247,7 +243,7 @@ def test_criterion_07_event_logs_match_bookkeeping_oracle():
         cfg = PipelineConfig(
             dims=FeatureDims(
                 h=int(rng.integers(1, 4)), w=int(rng.integers(1, 5)),
-                c_k=2, c_v=3, c_h=2,
+                c_k=2, c_v=3, c_h=2, c_in=2,
             ),
             r=r,
             t_min=t_min,
@@ -257,7 +253,6 @@ def test_criterion_07_event_logs_match_bookkeeping_oracle():
             l_max=p + int(rng.integers(0, 301)),
             insert_offset=int(rng.integers(0, r)),
             prototype_strategy=["usage", "random", "kmeans"][int(rng.integers(3))],
-            sensory_input_channels=2,
         )
         frames = _frames(
             500, seed=1000 + trial,

@@ -632,8 +632,8 @@ def test_the_bound_keeps_about_top_k_candidates_per_row(regime):
     # of the groups, and the frame-major store kept a median of 143
     # candidates a row (4.8 x top_k) where 1021 groups keep 30
     options, drift = CANDIDATE_REGIMES[regime]
-    dims = FeatureDims(h=8, w=8, c_k=16, c_v=8, c_h=4)
-    config = PipelineConfig(dims=dims, r=1, top_k=30, sensory_input_channels=4, **options)
+    dims = FeatureDims(h=8, w=8, c_k=16, c_v=8, c_h=4, c_in=4)
+    config = PipelineConfig(dims=dims, r=1, top_k=30, **options)
     header = StreamHeader(c_k=16, c_v=8, c_in=4, h=8, w=8, frame_count=150, object_count=1)
     real, per_row, counting = affinity_module._candidates, [], [False]
 

@@ -138,3 +138,20 @@ def test_feature_dims_validation():
     assert dims.hw() == 12
     with pytest.raises(ConfigError):
         FeatureDims(h=0, w=4)
+
+
+@pytest.mark.parametrize("channels", [0, -3])
+def test_feature_dims_reject_c_in_below_one(channels):
+    with pytest.raises(ConfigError, match="c_in"):
+        FeatureDims(h=2, w=3, c_k=4, c_v=5, c_h=4, c_in=channels)
+
+
+def test_feature_dims_default_c_in_to_c_h():
+    assert FeatureDims(h=2, w=3, c_k=4, c_v=5, c_h=4, c_in=None).c_in == 4
+    assert FeatureDims(h=2, w=3, c_k=4, c_v=5, c_h=4, c_in=1).c_in == 1
+
+
+def test_feature_dims_report_a_broken_c_h_once_when_c_in_is_unset():
+    with pytest.raises(ConfigError) as err:
+        FeatureDims(h=2, w=3, c_h=0)
+    assert err.value.args == ("c_h must be >= 1, got 0",)

@@ -48,10 +48,8 @@ def test_run_writes_one_row_per_frame(tmp_path):
 
 
 def test_multi_object_record_sums_tracks(tmp_path):
-    dims = FeatureDims(h=2, w=3, c_k=4, c_v=5, c_h=4)
-    cfg = PipelineConfig(
-        dims=dims, r=1, t_min=2, t_max=4, p=6, l_max=12, sensory_input_channels=3
-    )
+    dims = FeatureDims(h=2, w=3, c_k=4, c_v=5, c_h=4, c_in=3)
+    cfg = PipelineConfig(dims=dims, r=1, t_min=2, t_max=4, p=6, l_max=12)
     header = StreamHeader(c_k=4, c_v=5, c_in=3, h=2, w=3, frame_count=60, object_count=3)
     _, records = run_stream(synthetic_frames(8, header, 0.1), cfg, seed=8)
     expected = oracle_bookkeeping(cfg, 60)
@@ -228,7 +226,7 @@ def test_out_of_range_generation_flag_is_usage_error(tmp_path, capsys, flag, val
     assert not out.exists()
 
 
-def test_zero_sensory_input_channels_is_usage_error(tmp_path, capsys):
+def test_zero_cin_is_usage_error(tmp_path, capsys):
     out = tmp_path / "m.csv"
     assert main(SMALL + ["--frames", "3", "--cin", "0", "--metrics-out", str(out)]) == 2
     assert "--cin" in capsys.readouterr().err
@@ -400,12 +398,14 @@ def test_flag_defaults_and_choices_are_the_engines():
     flags = {
         "r": args.r, "t_min": args.tmin, "t_max": args.tmax, "p": args.proto_p,
         "top_k": args.topk, "l_max": args.lt_max, "insert_offset": args.insert_offset,
-        "sensory_input_channels": args.cin, "unbounded": args.unbounded,
+        "unbounded": args.unbounded,
         "prototype_strategy": args.strategy,
         "deep_update_mode": DEEP_UPDATE_FLAGS[args.deep_update],
     }
     assert flags == {name: fields[name] for name in flags}
-    assert (args.ck, args.cv, args.ch) == (dims["c_k"], dims["c_v"], dims["c_h"])
+    assert (args.ck, args.cv, args.ch, args.cin) == (
+        dims["c_k"], dims["c_v"], dims["c_h"], dims["c_in"]
+    )
     assert "--strategy {" + ",".join(typing.get_args(PrototypeStrategy)) + "}" in (
         parser.format_usage()
     )
@@ -579,8 +579,10 @@ def _expected_rules(run, header):
     problems = [flags for flags, broken in flagged if broken]
     if problems and not synthetic or run["source"] == "empty":
         return problems
+    # an unset --cin follows --ch, whose own rule covers it
     dims = {"--height": header.h, "--width": header.w, "--ck": header.c_k,
-            "--cv": header.c_v, "--ch": run["c_h"]}
+            "--cv": header.c_v, "--ch": run["c_h"],
+            "--cin": 1 if run["c_in"] is None else header.c_in}
     broken_dims = [{flag} for flag, value in dims.items() if value < 1]
     if broken_dims:
         return problems + broken_dims
@@ -593,7 +595,6 @@ def _expected_rules(run, header):
         ({"--topk"}, run["top_k"] < 1),
         ({"--lt-max", "--proto-p"}, run["l_max"] < p),
         ({"--insert-offset", "--r"}, not 0 <= run["insert_offset"] < r),
-        ({"--cin"}, header.c_in < 1),
     ]
     problems += [flags for flags, broken in flagged if broken]
     if problems or run["stream_out"] is None:
@@ -614,7 +615,7 @@ def _in_process(run, header, paths, stream_file):
         deep_update_mode={"rth": "every_rth", "every": "every_frame", "never": "never"}[
             run["deep_update"]],
         prototype_strategy=run["strategy"], insert_offset=run["insert_offset"],
-        unbounded=run["unbounded"], sensory_input_channels=header.c_in,
+        unbounded=run["unbounded"],
     )
     if stream_file is not None:
         frames = stream.iter_frames(stream_file)

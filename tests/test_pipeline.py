@@ -34,12 +34,11 @@ from xmem.stream import StreamHeader, synthetic_frames
 # the module, not the function of the same name that xmem exports
 affinity_module = importlib.import_module("xmem.affinity")
 
-DIMS = FeatureDims(h=2, w=3, c_k=4, c_v=5, c_h=4)
+DIMS = FeatureDims(h=2, w=3, c_k=4, c_v=5, c_h=4, c_in=3)
 
 
 def _config(**kw):
     kw.setdefault("dims", DIMS)
-    kw.setdefault("sensory_input_channels", 3)
     return PipelineConfig(**kw)
 
 
@@ -108,10 +107,9 @@ def test_insert_offset_shifts_phase():
 
 
 def test_consolidation_counts_at_full_geometry():
-    hw1620 = FeatureDims(h=30, w=54, c_k=3, c_v=3, c_h=2)
+    hw1620 = FeatureDims(h=30, w=54, c_k=3, c_v=3, c_h=2, c_in=2)
     cfg = PipelineConfig(
         dims=hw1620, r=1, t_min=5, t_max=10, p=128, top_k=30, l_max=10_000,
-        sensory_input_channels=2,
     )
     frames = _frames(11, dims=hw1620, c_in=2)
     p = Pipeline(cfg, next(frames))
@@ -358,11 +356,8 @@ def test_step_readout_matches_oracle_after_consolidations():
     # 8x8 grid; every frame inserts, so every frame after the third
     # consolidates 64 candidates into 8 prototypes, and l_max=12 forces an
     # eviction from the second consolidation on
-    dims = FeatureDims(h=8, w=8, c_k=4, c_v=6, c_h=2)
-    cfg = PipelineConfig(
-        dims=dims, r=1, t_min=2, t_max=3, p=8, top_k=30, l_max=12,
-        sensory_input_channels=2,
-    )
+    dims = FeatureDims(h=8, w=8, c_k=4, c_v=6, c_h=2, c_in=2)
+    cfg = PipelineConfig(dims=dims, r=1, t_min=2, t_max=3, p=8, top_k=30, l_max=12)
     frames = _frames(7, dims=dims, c_in=2, seed=5)
     p = Pipeline(cfg, next(frames))
     memory = p.tracks[0].memory
@@ -446,7 +441,9 @@ def test_deep_update_schedule(mode, expected_frames, monkeypatch):
 def test_sensory_state_is_the_chain_of_cell_updates():
     # sensory input with as many channels as the query, so that a cell fed
     # the query runs and only its bytes tell it apart
-    cfg = _config(r=2, t_min=2, t_max=4, p=6, l_max=30, sensory_input_channels=DIMS.c_k)
+    cfg = _config(
+        dims=dataclasses.replace(DIMS, c_in=DIMS.c_k), r=2, t_min=2, t_max=4, p=6, l_max=30
+    )
     frames = list(_frames(9, objects=2, seed=4, c_in=DIMS.c_k))
     p = Pipeline(cfg, frames[0])
     want = [np.zeros((DIMS.c_h, DIMS.hw()), dtype=np.float32) for _ in range(2)]
@@ -515,17 +512,6 @@ def test_fused_probabilities_shape_and_stochasticity():
 
 # -- config validation ------------------------------------------------------------
 
-@pytest.mark.parametrize("channels", [0, -3])
-def test_config_rejects_sensory_input_channels_below_one(channels):
-    with pytest.raises(ConfigError, match="sensory_input_channels"):
-        _config(sensory_input_channels=channels)
-
-
-def test_config_defaults_sensory_input_channels_to_c_h():
-    assert _config(sensory_input_channels=None).sensory_channels == DIMS.c_h
-    assert _config(sensory_input_channels=1).sensory_channels == 1
-
-
 def test_config_rejects_bad_bounds():
     with pytest.raises(ConfigError):
         _config(t_min=10, t_max=5)
@@ -546,7 +532,7 @@ def test_config_rejects_bad_bounds():
 # -- threaded read -------------------------------------------------------------
 
 # 300 query rows: three blocks of 128, the last one uneven
-THREADED_DIMS = FeatureDims(h=10, w=30, c_k=4, c_v=6, c_h=2)
+THREADED_DIMS = FeatureDims(h=10, w=30, c_k=4, c_v=6, c_h=2, c_in=3)
 
 
 def _threaded_run(seed):

@@ -194,10 +194,10 @@ def test_a_path_that_cannot_be_opened_is_left_as_it_is(tmp_path, monkeypatch):
 
 
 def test_snapshot_roundtrip(tmp_path):
-    dims = FeatureDims(h=2, w=2, c_k=3, c_v=4, c_h=2)
+    dims = FeatureDims(h=2, w=2, c_k=3, c_v=4, c_h=2, c_in=2)
     header = StreamHeader(c_k=3, c_v=4, c_in=2, h=2, w=2, frame_count=40, object_count=2)
     cfg = PipelineConfig(
-        dims=dims, r=1, t_min=2, t_max=4, p=3, l_max=9, sensory_input_channels=2
+        dims=dims, r=1, t_min=2, t_max=4, p=3, l_max=9
     )
     pipeline, _ = run_stream(synthetic_frames(5, header, 0.2), cfg)
     path = tmp_path / "lt.xmlt"
@@ -217,10 +217,10 @@ def test_snapshot_roundtrip(tmp_path):
 
 @pytest.mark.parametrize("c_k,c_v", [(1, 4), (3, 1)])
 def test_single_channel_snapshot_keeps_its_rows(tmp_path, c_k, c_v):
-    dims = FeatureDims(h=2, w=2, c_k=c_k, c_v=c_v, c_h=2)
+    dims = FeatureDims(h=2, w=2, c_k=c_k, c_v=c_v, c_h=2, c_in=2)
     header = StreamHeader(c_k=c_k, c_v=c_v, c_in=2, h=2, w=2, frame_count=20, object_count=1)
     cfg = PipelineConfig(
-        dims=dims, r=1, t_min=2, t_max=4, p=3, l_max=9, sensory_input_channels=2
+        dims=dims, r=1, t_min=2, t_max=4, p=3, l_max=9
     )
     pipeline, _ = run_stream(synthetic_frames(3, header, 0.2), cfg)
     path = tmp_path / "lt.xmlt"
@@ -325,7 +325,6 @@ def _write_snapshot(path):
     header = StreamHeader(c_k=3, c_v=4, c_in=2, h=2, w=2, frame_count=30, object_count=2)
     cfg = PipelineConfig(
         dims=header.dims(c_h=2), r=1, t_min=2, t_max=4, p=3, l_max=9,
-        sensory_input_channels=2,
     )
     pipeline, _ = run_stream(synthetic_frames(5, header, 0.2), cfg)
     write_lt_snapshot(path, [t.memory for t in pipeline.tracks])
@@ -507,7 +506,6 @@ def _output_writers():
     header = StreamHeader(c_k=3, c_v=4, c_in=2, h=2, w=2, frame_count=30, object_count=2)
     cfg = PipelineConfig(
         dims=header.dims(c_h=2), r=1, t_min=2, t_max=4, p=3, l_max=9,
-        sensory_input_channels=2,
     )
     pipeline, records = run_stream(synthetic_frames(5, header, 0.2), cfg)
     return {
