@@ -47,7 +47,7 @@ from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
-from .core_types import ContractError, ShapeError
+from .core_types import ContractError, ShapeError, ValidationError
 
 # query rows scored, selected and weighted together; a block of scores is
 # _READ_ROWS x n float32 (7.5 MB at n = 14580). Far fewer rows starve the
@@ -164,6 +164,10 @@ def _retained_indices(block: np.ndarray, top_k: int) -> np.ndarray:
         rank = np.arange(sel.size) - np.searchsorted(r, r)
         keep[sel[order[rank < top_k]]] = True
         cand = cand[keep]
+    # finite scores leave every row at least top_k candidates; a NaN bound
+    # leaves its row none
+    if cand.size < b * top_k:
+        raise ValidationError("similarity scores are not finite")
     return cand.reshape(b, top_k) - np.arange(0, b * n, n)[:, None]
 
 

@@ -171,6 +171,19 @@ def soft_aggregate(per_object_probs: np.ndarray) -> np.ndarray:
     return stacked / stacked.sum(axis=0, keepdims=True)
 
 
+def _within(limit: np.float32, mapper):
+    """`mapper`, for raw input whose entries all lie in [-limit, limit];
+    non-finite entries are left to `mapper`."""
+
+    def check(raw):
+        arr = np.asarray(raw, dtype=np.float32)
+        if arr.size and np.abs(arr).max() > limit:
+            raise ValidationError(f"entries must lie in [{-limit:g}, {limit:g}]")
+        return mapper(arr)
+
+    return check
+
+
 class Pipeline:
     """Owns the object tracks and replays the per-frame update schedule."""
 
@@ -231,16 +244,22 @@ class Pipeline:
         """Check and map every object's inputs before the frame changes any state.
 
         All five fields must have their documented shapes; the fields the
-        frame uses must be finite (values only when `use_values`). Returns per
-        object, in field order, the query, shrinkage, selection, values (None
-        when unused) and sensory input.
+        frame uses must be finite (values only when `use_values`), and every
+        entry of the raw query and shrinkage must lie in [-R, R], with
+        R = (float32 max / (8 c_k))^(1/4) in float32. Returns per object, in
+        field order, the query, shrinkage, selection, values (None when
+        unused) and sensory input.
         """
         dims = self.config.dims
         shapes = ObjectFeatures.shapes(dims.c_k, dims.c_v, dims.c_in, dims.hw())
+        # keys are stored queries, shrinkage s = raw^2 + 1 <= R^2 + 1 and
+        # selection lies in [0, 1], so every operand entry is finite and
+        # |score| <= 4 c_k (R^2 + 1) R^2, just over float32 max / 2
+        limit = np.float32((float(np.finfo(np.float32).max) / (8 * dims.c_k)) ** 0.25)
         # by field name; a mapper raises ValidationError on bad entries
         mappers = {
-            "raw_query": KeyBlock,
-            "raw_shrinkage": map_shrinkage,
+            "raw_query": _within(limit, KeyBlock),
+            "raw_shrinkage": _within(limit, map_shrinkage),
             "raw_selection": map_selection,
             "values": ValueBlock if use_values else lambda _: None,
             "sensory_input": lambda raw: core_types._frozen_f32(raw, "sensory input"),

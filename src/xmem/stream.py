@@ -245,6 +245,8 @@ class SnapshotObject:
 def write_lt_snapshot(path: str | Path, memories) -> None:
     """Serialize each `TrackMemory`'s long-term store for offline inspection:
     a snapshot `read_lt_snapshot` accepts, or no file."""
+    if not memories:
+        raise ConfigError("header field object_count must be >= 1, got 0")
     dims = memories[0].dims
     head = _SNAPSHOT.pack(len(memories), dims.c_k, dims.c_v)
     with whole_or_absent(path) as f:

@@ -16,6 +16,7 @@ from xmem import (
     Pipeline,
     PipelineConfig,
     ShapeError,
+    ValidationError,
     affinity,
     memory_operand,
     potentiate,
@@ -24,7 +25,12 @@ from xmem import (
     similarity,
     usage_mass,
 )
-from xmem.oracle import oracle_affinity, oracle_readout, oracle_similarity
+from xmem.oracle import (
+    oracle_affinity,
+    oracle_bookkeeping,
+    oracle_readout,
+    oracle_similarity,
+)
 from xmem.stream import StreamHeader, synthetic_frames
 
 # the module, not the function of the same name that xmem exports
@@ -331,6 +337,16 @@ def test_affinity_empty_memory_rejected():
 def test_affinity_rejects_top_k_below_one():
     with pytest.raises(ValueError, match="top_k must be >= 1, got 0"):
         _read(np.zeros((2, 3), dtype=np.float32), top_k=0)
+
+
+# one non-finite operand column leaked numpy's reshape error out of the
+# selection: finite scores leave every row at least k candidates, these fewer
+@pytest.mark.parametrize("bad", [np.nan, -np.inf, np.inf])
+def test_affinity_rejects_non_finite_scores(bad):
+    operand, rhs = _operands(*_random_instance(np.random.default_rng(1), 4, 6, 3))
+    operand[:, 2] = bad
+    with np.errstate(invalid="ignore"), pytest.raises(ValidationError, match="not finite"):
+        affinity(operand, rhs, 2)
 
 
 def test_affinity_underflow_guarded():
@@ -654,3 +670,34 @@ def test_the_bound_keeps_about_top_k_candidates_per_row(regime):
     assert memory.n == (9600 if config.unbounded else 2000 + 5 * 64)
     median = np.median(np.concatenate(per_row))
     assert median <= 2 * config.top_k
+
+
+# the selection is exact over whatever it scores, so only the count of
+# scored elements shows a read that scores more of the buffer than the
+# store holds
+@pytest.mark.parametrize("unbounded", [False, True], ids=["bounded", "unbounded"])
+def test_each_read_scores_exactly_the_elements_stored(monkeypatch, unbounded):
+    dims = FeatureDims(h=8, w=8, c_k=16, c_v=8, c_h=4)
+    config = PipelineConfig(
+        dims=dims, r=1, t_min=5, t_max=10, p=128, l_max=2000, unbounded=unbounded
+    )
+    header = StreamHeader(c_k=16, c_v=8, c_in=4, h=8, w=8, frame_count=120, object_count=1)
+    pipeline_module = importlib.import_module("xmem.pipeline")
+    real, widths = pipeline_module.affinity, []
+
+    def spied(operand, rhs, top_k):
+        widths.append(operand.shape[1])
+        return real(operand, rhs, top_k)
+
+    monkeypatch.setattr(pipeline_module, "affinity", spied)
+    frames = synthetic_frames(4, header, 0.05)
+    pipeline = Pipeline(config, next(frames), seed=4)
+    for idx, features in enumerate(frames, start=1):
+        pipeline.step(features, idx)
+    # frame t reads the store that frame t - 1 left
+    stored = [record.total_elements for record in oracle_bookkeeping(config, 120)]
+    assert widths == stored[:-1]
+    if unbounded:  # every frame inserts
+        assert set(np.diff(widths)) == {dims.hw()}
+    else:
+        assert max(widths) <= config.t_max * dims.hw() + config.l_max

@@ -13,6 +13,7 @@ from xmem import (
     ConfigError,
     ContractError,
     FeatureDims,
+    ObjectFeatures,
     Pipeline,
     PipelineConfig,
     ShapeError,
@@ -161,49 +162,119 @@ def _nan(arr):
     return bad
 
 
-# (objects, deep-update mode, frame, object, field, corruption, error); with
-# r 2, frame 1 reads only and frame 2 inserts
+def _setup(objects=1, mode="every_rth"):
+    """A config and its frames 0-4: with r 2, frame 1 reads only and frame 2
+    inserts."""
+    cfg = _config(r=2, t_min=2, t_max=4, p=6, l_max=30, deep_update_mode=mode)
+    return cfg, list(_frames(5, objects=objects, seed=9))
+
+
+def _overflow_setup():
+    """A 2x2 grid that inserts and consolidates every frame, and its
+    standard-normal frames 0-5. Finite entries whose operand overflowed
+    float32 once poisoned its store: every later step failed."""
+    dims = FeatureDims(h=2, w=2, c_k=4, c_v=4, c_h=4)
+    cfg = PipelineConfig(dims=dims, r=1, t_min=2, t_max=3, p=2, top_k=2, l_max=8)
+    rng = np.random.default_rng(0)
+    shapes = ObjectFeatures.shapes(dims.c_k, dims.c_v, dims.c_in, dims.hw())
+    return cfg, [
+        [ObjectFeatures(**{name: rng.standard_normal(shape) for name, shape in shapes.items()})]
+        for _ in range(6)
+    ]
+
+
+def _full(value):
+    return lambda arr: np.full_like(arr, value)
+
+
+# (set-up, frame, object, corruption of each field, error); the error names
+# the first field
 BAD_FRAMES = {
     "nan values, second object, insertion": (
-        2, "every_rth", 2, 1, "values", _nan, ValidationError),
+        lambda: _setup(2), 2, 1, {"values": _nan}, ValidationError),
     "nan values, one object, insertion": (
-        1, "every_rth", 2, 0, "values", _nan, ValidationError),
+        _setup, 2, 0, {"values": _nan}, ValidationError),
     "nan query, second object": (
-        2, "every_rth", 1, 1, "raw_query", _nan, ValidationError),
+        lambda: _setup(2), 1, 1, {"raw_query": _nan}, ValidationError),
     "nan sensory input": (
-        1, "every_rth", 1, 0, "sensory_input", _nan, ValidationError),
+        _setup, 1, 0, {"sensory_input": _nan}, ValidationError),
     "short shrinkage, no insertion": (
-        2, "every_rth", 1, 1, "raw_shrinkage", lambda a: a[:-1], ShapeError),
+        lambda: _setup(2), 1, 1, {"raw_shrinkage": lambda a: a[:-1]}, ShapeError),
     "nan values, every-frame deep update": (
-        1, "every_frame", 1, 0, "values", _nan, ValidationError),
+        lambda: _setup(1, "every_frame"), 1, 0, {"values": _nan}, ValidationError),
     "short sensory input": (
-        2, "every_rth", 1, 1, "sensory_input", lambda a: a[:, :-1], ShapeError),
+        lambda: _setup(2), 1, 1, {"sensory_input": lambda a: a[:, :-1]}, ShapeError),
+    "query past the operand range": (
+        _overflow_setup, 2, 0, {"raw_query": _full(1e20)}, ValidationError),
+    "shrinkage past the operand range": (
+        _overflow_setup, 2, 0, {"raw_shrinkage": _full(1e19), "raw_query": _full(3.0)},
+        ValidationError),
 }
 
 
 @pytest.mark.parametrize("case", list(BAD_FRAMES))
 def test_rejected_frame_changes_no_state(case):
-    objects, mode, bad_idx, obj, field, corrupt, error = BAD_FRAMES[case]
-    cfg = _config(r=2, t_min=2, t_max=4, p=6, l_max=30, deep_update_mode=mode)
-    frames = list(_frames(5, objects=objects, seed=9))
+    setup, bad_idx, obj, corruptions, error = BAD_FRAMES[case]
+    cfg, frames = setup()
     p = Pipeline(cfg, frames[0])
     ref = Pipeline(cfg, frames[0])
     for idx in range(1, bad_idx):
         p.step(frames[idx], idx)
         ref.step(frames[idx], idx)
     bad = list(frames[bad_idx])
-    bad[obj] = dataclasses.replace(bad[obj], **{field: corrupt(getattr(bad[obj], field))})
+    fields = {field: corrupt(getattr(bad[obj], field)) for field, corrupt in corruptions.items()}
+    bad[obj] = dataclasses.replace(bad[obj], **fields)
     before = _state(p)
-    with pytest.raises(error, match=f"^object {obj}: {field}"):
+    with pytest.raises(error, match=f"^object {obj}: {next(iter(corruptions))}"):
         p.step(bad, bad_idx)
     assert _state(p) == before
     # the same frame index then steps as if the bad frame never came
-    for idx in range(bad_idx, 5):
+    for idx in range(bad_idx, len(frames)):
         got, want = p.step(frames[idx], idx), ref.step(frames[idx], idx)
         for g, w in zip(got, want):
             assert g.readout.tobytes() == w.readout.tobytes()
+            assert np.isfinite(g.fused_probabilities).all()
             assert g.events == w.events
     assert _state(p) == _state(ref)
+
+
+# every entry of a frame's raw query and shrinkage at the operand range's
+# limit R, with opposite-signed queries and full selection, scores as far from
+# the store as ingestion lets it; one entry past R is refused
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(1, 64), st.integers(0, 2**32 - 1), st.sampled_from(["raw_query", "raw_shrinkage"])
+)
+def test_entries_up_to_the_operand_limit_step_and_past_it_are_refused(c_k, seed, field):
+    dims = FeatureDims(h=2, w=2, c_k=c_k, c_v=4, c_h=4)
+    cfg = PipelineConfig(dims=dims, r=1, t_min=2, t_max=3, p=2, top_k=2, l_max=8)
+    limit = np.float32((float(np.finfo(np.float32).max) / (8 * c_k)) ** 0.25)
+    shapes = ObjectFeatures.shapes(dims.c_k, dims.c_v, dims.c_in, dims.hw())
+    rng = np.random.default_rng(seed)
+
+    def frame(idx):
+        feats = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
+        signs = rng.choice([-1, 1], shapes["raw_shrinkage"])
+        feats.update(
+            raw_query=limit * (-1) ** idx * np.ones(shapes["raw_query"]) * signs,
+            raw_shrinkage=limit * signs,
+            raw_selection=np.full(shapes["raw_selection"], 20.0),
+        )
+        return [ObjectFeatures(**feats)]
+
+    p = Pipeline(cfg, frame(0))
+    for idx in range(1, 7):
+        out = p.step(frame(idx), idx)[0]
+        assert np.isfinite(out.readout).all()
+        assert np.isfinite(out.fused_probabilities).all()
+    (feats,) = frame(7)
+    past = np.array(getattr(feats, field), dtype=np.float32)
+    i = rng.integers(past.size)
+    past.flat[i] = np.copysign(np.nextafter(limit, np.float32(np.inf)), past.flat[i])
+    before = _state(p)
+    with pytest.raises(ValidationError, match=f"^object 0: {field}: entries must lie in"):
+        p.step([dataclasses.replace(feats, **{field: past})], 7)
+    assert _state(p) == before
 
 
 def test_unused_values_are_not_checked():

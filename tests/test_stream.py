@@ -140,14 +140,24 @@ def test_zero_field_rejected(tmp_path):
     assert err.value.offset == 8
 
 
+def _stream_writer(**fields):
+    header = dataclasses.replace(HEADER, **fields)
+    return lambda path: generate_synthetic(path, seed=2, header=header, drift=0.1)
+
+
 # a header the format cannot hold was written in full (a zero field, which
-# the reader then refused) or died in struct.pack (a negative one)
-@pytest.mark.parametrize("field,value", [("c_k", 0), ("w", -1), ("frame_count", 2**32)])
-def test_unwritable_header_raises_before_the_file_opens(tmp_path, field, value):
-    path = tmp_path / "bad.xmfs"
-    header = dataclasses.replace(HEADER, **{field: value})
+# the reader then refused) or died in struct.pack (a negative one); a
+# snapshot of no objects raised IndexError
+@pytest.mark.parametrize("write,field", [
+    (_stream_writer(c_k=0), "c_k"),
+    (_stream_writer(w=-1), "w"),
+    (_stream_writer(frame_count=2**32), "frame_count"),
+    (lambda path: write_lt_snapshot(path, []), "object_count"),
+], ids=["c_k-0", "w--1", "frame_count-4294967296", "empty-snapshot"])
+def test_unwritable_header_raises_before_the_file_opens(tmp_path, write, field):
+    path = tmp_path / "bad"
     with pytest.raises(ConfigError, match=field):
-        generate_synthetic(path, seed=2, header=header, drift=0.1)
+        write(path)
     assert not path.exists()
 
 
